@@ -3,9 +3,8 @@
 from .analytical import (AnalyticBreakdown, EtaBound, EtaOptimum,
                          eta_star_realization, eta_upper_bound, mse_analytic,
                          optimize_eta)
-from .model import (Device, NetworkParams, Realization, path_loss,
-                    realization_rng, sample_fading, sample_ppp_disc,
-                    transmit_power)
+from .model import (NetworkParams, Realization, path_loss, realization_rng,
+                    sample_fading, sample_ppp_disc, transmit_power)
 from .montecarlo import (CampbellReport, MseEstimate, campbell_check,
                          estimate_mse, realization_mse)
 from .numerics import QuadratureSpec, integrate, minimize_unimodal

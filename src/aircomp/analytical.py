@@ -26,8 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import NetworkParams, Realization, transmit_power
-from .numerics import MinimizeResult, QuadratureSpec, integrate, minimize_unimodal
+from .model import NetworkParams, Realization, effective_devices, transmit_power
+from .numerics import (MinimizeResult, QuadratureSpec, integrate,
+                       minimize_unimodal, power_integral)
 from .specfun import marcum_q1, poisson_inverse_moment, rician_pdf
 
 __all__ = [
@@ -53,6 +54,12 @@ _FADING_SPEC = QuadratureSpec(rel_tol=1e-9, abs_tol=1e-15, max_subdivisions=2000
 # against it are truncated there.
 _TAIL_SIGMAS = 20.0
 
+# optimize_eta: golden-section tolerance in ln eta, and the factor and count
+# by which the search interval is inflated while the minimum sits on its top.
+_ETA_TOL = 1e-6
+_SAFETY = 10.0
+_MAX_EXTENSIONS = 3
+
 
 @dataclass(frozen=True)
 class AnalyticBreakdown:
@@ -74,13 +81,6 @@ class AnalyticBreakdown:
     marcumq_term: float
     noise_term: float
     total: float
-
-
-def _power_integral(lo, hi, p: float):
-    """Integral of r^p dr from lo to hi, with the p = -1 logarithmic limit."""
-    if abs(p + 1.0) < 1e-9:
-        return np.log(hi / lo)
-    return (np.power(hi, p + 1.0) - np.power(lo, p + 1.0)) / (p + 1.0)
 
 
 def _fading_cutoff(params: NetworkParams) -> float:
@@ -136,8 +136,8 @@ def mse_analytic(params: NetworkParams, eta: float,
             v = np.asarray(v, dtype=float)
             with np.errstate(over="ignore"):
                 r_lo = np.clip(np.power(v * ratio, 2.0 / s), 1.0, r_max)
-            j1 = _power_integral(r_lo, r_max, 1.0 - alpha)
-            j2 = _power_integral(r_lo, r_max, 1.0 - 0.5 * alpha)
+            j1 = power_integral(r_lo, r_max, 1.0 - alpha)
+            j2 = power_integral(r_lo, r_max, 1.0 - 0.5 * alpha)
             return rician_pdf(v, rp) * (ratio ** 2 * v * v * j1
                                         - 2.0 * ratio * v * j2)
 
@@ -147,8 +147,8 @@ def mse_analytic(params: NetworkParams, eta: float,
         # epsilon = 0: the capping threshold is radius-independent
         d_const = 1.0 / ratio
         v_hi = min(d_const, v_cap)
-        j1 = float(_power_integral(1.0, r_max, 1.0 - alpha))
-        j2 = float(_power_integral(1.0, r_max, 1.0 - 0.5 * alpha))
+        j1 = float(power_integral(1.0, r_max, 1.0 - alpha))
+        j2 = float(power_integral(1.0, r_max, 1.0 - 0.5 * alpha))
 
         def capped_integrand(v):
             v = np.asarray(v, dtype=float)
@@ -190,7 +190,7 @@ def mse_analytic(params: NetworkParams, eta: float,
 
 
 def rician_mean(params: NetworkParams) -> float:
-    """E[|h|] by quadrature of v f(v); diagnostic for the search bound."""
+    """E[|h|] by quadrature of v f(v)."""
     rp = params.rician()
     return integrate(lambda v: np.asarray(v) * np.asarray(rician_pdf(v, rp)),
                      0.0, _fading_cutoff(params), _FADING_SPEC)
@@ -230,11 +230,11 @@ def eta_upper_bound(params: NetworkParams) -> EtaBound:
     capped_appendix = params.p_max * (1.0 / bracket) ** (alpha * eps)
 
     two_pi_lam = 2.0 * math.pi * params.density
-    num = two_pi_lam * params.p_max * float(_power_integral(1.0, r_max, 1.0 - alpha)) \
+    num = two_pi_lam * params.p_max * float(power_integral(1.0, r_max, 1.0 - alpha)) \
         + params.noise_power
     mean_printed = math.sqrt(math.pi / 2.0) * rp.sigma
     den = two_pi_lam * math.sqrt(params.p_max) \
-        * float(_power_integral(1.0, r_max, 1.0 - 0.5 * alpha)) * mean_printed
+        * float(power_integral(1.0, r_max, 1.0 - 0.5 * alpha)) * mean_printed
     ratio_moment = (num / den) ** 2
 
     return EtaBound(
@@ -255,7 +255,7 @@ def eta_star_realization(re: Realization, eta_ref: float,
     transmit powers frozen at eta_ref (the power-control branch of each
     device depends on eta; the bound derivation treats powers as given).
     """
-    d, h = _effective_devices(re, mode)
+    d, h = effective_devices(re, mode)
     if d.size == 0:
         raise ValueError("empty realization")
     p = transmit_power(d, h, eta_ref, params)
@@ -263,16 +263,6 @@ def eta_star_realization(re: Realization, eta_ref: float,
     num = float(np.sum(amp ** 2)) + params.noise_power
     den = float(np.sum(amp))
     return (num / den) ** 2
-
-
-def _effective_devices(re: Realization, mode: str) -> tuple[np.ndarray, np.ndarray]:
-    """Apply the inner-disc policy: clamp distances to 1 m or drop the devices."""
-    if mode == "clamp":
-        return np.maximum(re.distances, 1.0), re.fadings
-    if mode == "annulus":
-        keep = re.distances >= 1.0
-        return re.distances[keep], re.fadings[keep]
-    raise ValueError(f"unknown mode {mode!r}")
 
 
 @dataclass(frozen=True)
@@ -286,14 +276,12 @@ class EtaOptimum:
     extended: bool     # search interval was inflated beyond the bound
 
 
-def optimize_eta(params: NetworkParams, variant: str = "rederived",
-                 tol: float = 1e-6, safety: float = 10.0,
-                 max_extensions: int = 3) -> EtaOptimum:
+def optimize_eta(params: NetworkParams, variant: str = "rederived") -> EtaOptimum:
     """Minimize the analytical MSE over the denoising factor.
 
     Searches (1e-6 * noise_power, eta_hat] on a log axis; if the minimizer
-    lands on the upper edge the interval is inflated by the safety factor
-    (at most max_extensions times) and the result is flagged.
+    lands on the upper edge the interval is inflated tenfold (at most three
+    times) and the result is flagged.
     """
     bound = eta_upper_bound(params)
     lo = 1e-6 * params.noise_power
@@ -303,13 +291,13 @@ def optimize_eta(params: NetworkParams, variant: str = "rederived",
         return mse_analytic(params, eta, variant).total
 
     extended = False
-    result: MinimizeResult = minimize_unimodal(objective, lo, hi, tol=tol)
-    for _ in range(max_extensions):
+    result: MinimizeResult = minimize_unimodal(objective, lo, hi, tol=_ETA_TOL)
+    for _ in range(_MAX_EXTENSIONS):
         if not (result.boundary and result.edge == "high"):
             break
-        hi *= safety
+        hi *= _SAFETY
         extended = True
-        result = minimize_unimodal(objective, lo, hi, tol=tol)
+        result = minimize_unimodal(objective, lo, hi, tol=_ETA_TOL)
     return EtaOptimum(eta=result.x_min, mse=result.g_min, variant=variant,
                       bound=bound, search_hi=hi,
                       boundary=result.boundary, extended=extended)

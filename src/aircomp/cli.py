@@ -36,6 +36,7 @@ CSV_HEADER = ["param_value", "eta_used", "mse_analytic_printed",
               "k_mean", "flags"]
 
 SWEEP_PARAMETERS = ("lambda", "radius", "rician_b", "eta")
+MC_MODES = ("clamp", "annulus")
 
 EXIT_USAGE = 1
 EXIT_NUMERIC = 2
@@ -75,6 +76,7 @@ class RunConfig:
                 cfg.output_dir = value
         if cfg.variant not in PAPER_VARIANTS + ("both",):
             raise UsageError(f"variant must be printed|rederived|both, got {cfg.variant}")
+        cfg.mc_settings()
         return cfg
 
     def network_params(self, **replacements) -> NetworkParams:
@@ -94,8 +96,15 @@ class RunConfig:
             raise UsageError(f"bad network config: {exc}") from exc
 
     def mc_settings(self) -> tuple[int, int, str, int]:
-        return (int(self.mc.get("iters", 10000)), int(self.mc.get("seed", 0)),
-                str(self.mc.get("mode", "clamp")), int(self.mc.get("jobs", 1)))
+        iters, seed = int(self.mc.get("iters", 10000)), int(self.mc.get("seed", 0))
+        mode, jobs = str(self.mc.get("mode", "clamp")), int(self.mc.get("jobs", 1))
+        if iters < 1:
+            raise UsageError(f"mc.iters must be >= 1, got {iters}")
+        if jobs < 1:
+            raise UsageError(f"mc.jobs must be >= 1, got {jobs}")
+        if mode not in MC_MODES:
+            raise UsageError(f"mc.mode must be clamp|annulus, got {mode!r}")
+        return iters, seed, mode, jobs
 
     def opt_variant(self) -> str:
         # when both variants are reported, eta is optimized on the rederived
@@ -130,6 +139,8 @@ def run_sweep(cfg: RunConfig) -> list[dict]:
     name = sweep.get("parameter")
     if name not in SWEEP_PARAMETERS:
         raise UsageError(f"sweep parameter must be one of {SWEEP_PARAMETERS}, got {name!r}")
+    if "from" not in sweep or "to" not in sweep:
+        raise UsageError("sweep needs from and to")
     lo, hi = float(sweep["from"]), float(sweep["to"])
     steps = int(sweep.get("steps", 10))
     if steps < 2:
@@ -268,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--seed", type=int, help="master seed (default 0)")
         p.add_argument("--iters", type=int, help="Monte Carlo iterations (default 10000)")
-        p.add_argument("--mode", choices=["clamp", "annulus"],
+        p.add_argument("--mode", choices=MC_MODES,
                        help="inner-disc policy (default clamp)")
         p.add_argument("--variant", choices=["printed", "rederived", "both"],
                        help="analytic formula variant (default both)")
@@ -301,7 +312,7 @@ def main(argv: list[str] | None = None) -> int:
                  for k in ("seed", "iters", "mode", "variant", "jobs", "out")}
     try:
         cfg = RunConfig.load(getattr(args, "config", None), overrides)
-    except (UsageError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:  # UsageError, JSON and int() parse errors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -19,10 +19,10 @@ from .specfun import RicianParams
 
 __all__ = [
     "NetworkParams",
-    "Device",
     "Realization",
     "SQUARE_SIDE",
     "path_loss",
+    "effective_devices",
     "transmit_power",
     "sample_fading",
     "sample_ppp_disc",
@@ -34,11 +34,7 @@ SQUARE_SIDE = 100.0  # side of the square sampling window (m)
 
 @dataclass(frozen=True)
 class NetworkParams:
-    """Full scenario parameterization.
-
-    wavelength is carried for completeness; no magnitude-only quantity in
-    this package ever reads it.
-    """
+    """Full scenario parameterization."""
 
     density: float          # device density lambda (devices / m^2)
     radius: float           # AP access radius R (m)
@@ -47,7 +43,6 @@ class NetworkParams:
     rician_b: float = 15.0  # Rician factor B
     p_max: float = 1000.0   # maximum transmit power (W)
     noise_power: float = 1.0  # omega^2 (W)
-    wavelength: float = 0.3   # (m)
 
     def __post_init__(self):
         if not self.density > 0:
@@ -82,19 +77,11 @@ class NetworkParams:
 
 
 @dataclass(frozen=True)
-class Device:
-    distance: float
-    fading_mag: float
-
-
-@dataclass(frozen=True)
 class Realization:
     """One sampled layout: device distances and fading magnitudes (aligned)."""
 
     distances: np.ndarray
     fadings: np.ndarray
-    radius: float
-    window: str = "disc"
 
     def __post_init__(self):
         if self.distances.shape != self.fadings.shape:
@@ -104,11 +91,6 @@ class Realization:
     def count(self) -> int:
         return int(self.distances.size)
 
-    @property
-    def devices(self) -> list[Device]:
-        return [Device(float(d), float(h))
-                for d, h in zip(self.distances, self.fadings)]
-
 
 def path_loss(d, alpha: float):
     """d^{-alpha} outside the 1 m inner region, 1 inside it."""
@@ -117,6 +99,16 @@ def path_loss(d, alpha: float):
         raise ValueError("path_loss requires d >= 0")
     out = np.where(d_arr < 1.0, 1.0, np.maximum(d_arr, 1.0) ** (-alpha))
     return out if isinstance(d, np.ndarray) else float(out)
+
+
+def effective_devices(re: Realization, mode: str) -> tuple[np.ndarray, np.ndarray]:
+    """Apply the inner-disc policy: clamp distances to 1 m or drop the devices."""
+    if mode == "clamp":
+        return np.maximum(re.distances, 1.0), re.fadings
+    if mode == "annulus":
+        keep = re.distances >= 1.0
+        return re.distances[keep], re.fadings[keep]
+    raise ValueError(f"unknown mode {mode!r}")
 
 
 def transmit_power(d, h_mag, eta: float, params: NetworkParams):
@@ -181,8 +173,7 @@ def sample_ppp_disc(rng: np.random.Generator, params: NetworkParams,
     else:
         raise ValueError(f"unknown window {window!r}")
     fadings = sample_fading(rng, rp, size=distances.size)
-    return Realization(distances=distances, fadings=fadings,
-                       radius=params.radius, window=window)
+    return Realization(distances=distances, fadings=fadings)
 
 
 def realization_rng(seed: int, index: int) -> np.random.Generator:

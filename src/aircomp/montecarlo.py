@@ -14,11 +14,10 @@ from multiprocessing import Pool
 
 import numpy as np
 
-from .analytical import _effective_devices, _fading_cutoff, _power_integral
-from .model import NetworkParams, Realization, realization_rng, sample_ppp_disc, \
-    transmit_power
-from .numerics import QuadratureSpec, integrate
-from .specfun import rician_pdf
+from .analytical import rician_mean
+from .model import NetworkParams, Realization, effective_devices, \
+    realization_rng, sample_ppp_disc, transmit_power
+from .numerics import power_integral
 
 __all__ = [
     "EmptyRealizationError",
@@ -48,68 +47,67 @@ class MseEstimate:
             raise ValueError("n_used cannot exceed n_total")
 
 
+def _mse(d: np.ndarray, h: np.ndarray, powers: np.ndarray, eta: float,
+         params: NetworkParams) -> float:
+    """(sum_k (a_k - 1)^2 + w^2 / eta) / K over the K = d.size devices."""
+    if d.size == 0:
+        raise EmptyRealizationError("realization has no devices")
+    amp = d ** (-0.5 * params.alpha) * np.sqrt(powers) * h / math.sqrt(eta)
+    return (float(np.sum((amp - 1.0) ** 2)) + params.noise_power / eta) / d.size
+
+
 def frozen_power_objective(re: Realization, powers: np.ndarray, eta: float,
                            params: NetworkParams, mode: str = "clamp") -> float:
     """Per-realization objective in eta with the transmit powers held fixed."""
     if not eta > 0:
         raise ValueError("eta must be > 0")
-    d, h = _effective_devices(re, mode)
-    k = d.size
-    if k == 0:
-        raise EmptyRealizationError("realization has no devices")
-    amp = d ** (-0.5 * params.alpha) * np.sqrt(powers) * h / math.sqrt(eta)
-    return (float(np.sum((amp - 1.0) ** 2)) + params.noise_power / eta) / k
+    d, h = effective_devices(re, mode)
+    return _mse(d, h, powers, eta, params)
 
 
 def realization_mse(re: Realization, eta: float, params: NetworkParams,
                     mode: str = "clamp") -> float:
     """Conditional MSE of one realization at denoising factor eta."""
-    d, h = _effective_devices(re, mode)
-    if d.size == 0:
-        raise EmptyRealizationError("realization has no devices")
-    powers = transmit_power(d, h, eta, params)
-    return frozen_power_objective(re, powers, eta, params, mode)
+    d, h = effective_devices(re, mode)
+    return _mse(d, h, transmit_power(d, h, eta, params), eta, params)
 
 
-def _mc_chunk(args) -> list[float]:
-    params, eta, seed, indices, mode, window = args
-    out = []
-    for i in indices:
-        re = sample_ppp_disc(realization_rng(seed, i), params, window=window)
-        d, _ = _effective_devices(re, mode)
-        if d.size == 0:
-            out.append(math.nan)  # skipped iteration marker
-        else:
-            out.append(realization_mse(re, eta, params, mode))
-    return out
+def _mc_range(args) -> np.ndarray:
+    """MSEs of the non-empty realizations among indices start .. stop - 1."""
+    params, eta, seed, start, stop, mode = args
+    values = []
+    for i in range(start, stop):
+        re = sample_ppp_disc(realization_rng(seed, i), params)
+        d, h = effective_devices(re, mode)
+        if d.size:
+            values.append(_mse(d, h, transmit_power(d, h, eta, params), eta, params))
+    return np.array(values)
 
 
 def estimate_mse(params: NetworkParams, eta: float, n_iter: int, seed: int,
-                 mode: str = "clamp", window: str = "disc",
-                 n_jobs: int = 1) -> MseEstimate:
+                 mode: str = "clamp", n_jobs: int = 1) -> MseEstimate:
     """Sample mean and standard error of the MSE over n_iter realizations.
 
-    Empty realizations are skipped (the device-count expectation conditions
-    on K >= 1).  The reduction runs in iteration order, so the result does
+    Iteration i samples the disc from the (seed, i) stream.  Realizations
+    left with no devices by the inner-disc policy are skipped (the
+    device-count expectation conditions on K >= 1) and counted out of
+    n_used.  With n_jobs > 1 each worker takes one contiguous range of
+    iterations; the ranges are joined in iteration order, so the result does
     not depend on n_jobs.
     """
     if n_iter < 1:
         raise ValueError("n_iter must be >= 1")
     if not eta > 0:
         raise ValueError("eta must be > 0")
-    indices = list(range(n_iter))
-    if n_jobs <= 1:
-        values = _mc_chunk((params, eta, seed, indices, mode, window))
+    if n_jobs < 1:
+        raise ValueError("n_jobs must be >= 1")
+    bounds = [n_iter * j // n_jobs for j in range(n_jobs + 1)]
+    ranges = [(params, eta, seed, lo, hi, mode) for lo, hi in zip(bounds, bounds[1:])]
+    if n_jobs == 1:
+        samples = _mc_range(ranges[0])
     else:
-        chunks = [indices[j::n_jobs] for j in range(n_jobs)]
         with Pool(processes=n_jobs) as pool:
-            parts = pool.map(_mc_chunk, [
-                (params, eta, seed, chunk, mode, window) for chunk in chunks])
-        values = [math.nan] * n_iter
-        for chunk, part in zip(chunks, parts):
-            for i, v in zip(chunk, part):
-                values[i] = v
-    samples = np.array([v for v in values if not math.isnan(v)])
+            samples = np.concatenate(pool.map(_mc_range, ranges))
     n_used = samples.size
     if n_used == 0:
         raise EmptyRealizationError("no non-empty realizations")
@@ -146,23 +144,18 @@ def campbell_check(params: NetworkParams, n_iter: int, seed: int,
     sums = np.zeros((n_iter, 3))
     for i in range(n_iter):
         re = sample_ppp_disc(realization_rng(seed, i), params, window=window)
-        keep = re.distances >= 1.0
-        d = re.distances[keep]
-        h = re.fadings[keep]
+        d, h = effective_devices(re, "annulus")
         sums[i] = (d.size,
                    float(np.sum(d ** -alpha * h ** 2)),
                    float(np.sum(d ** (-0.5 * alpha) * h)))
 
-    rp = params.rician()
-    spec = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-14)
-    mean_h = integrate(lambda v: np.asarray(v) * np.asarray(rician_pdf(v, rp)),
-                       0.0, _fading_cutoff(params), spec)
+    mean_h = rician_mean(params)
     two_pi_lam = 2.0 * math.pi * params.density
     r_max = params.radius
     targets = (
         params.density * math.pi * (r_max ** 2 - 1.0),
-        two_pi_lam * float(_power_integral(1.0, r_max, 1.0 - alpha)),  # E[h^2] = 1
-        two_pi_lam * float(_power_integral(1.0, r_max, 1.0 - 0.5 * alpha)) * mean_h,
+        two_pi_lam * float(power_integral(1.0, r_max, 1.0 - alpha)),  # E[h^2] = 1
+        two_pi_lam * float(power_integral(1.0, r_max, 1.0 - 0.5 * alpha)) * mean_h,
     )
     emp = sums.mean(axis=0)
     se = sums.std(axis=0, ddof=1) / math.sqrt(n_iter)

@@ -1,4 +1,5 @@
-"""Generic numerical kernels: adaptive 1-D quadrature and bounded scalar minimization.
+"""Generic numerical kernels: adaptive 1-D quadrature, the closed-form power
+integral, and bounded scalar minimization.
 
 The quadrature is a globally adaptive Gauss-Kronrod (G7, K15) scheme with the
 embedded 7-point Gauss rule providing the per-panel error estimate.  The
@@ -21,6 +22,7 @@ __all__ = [
     "MinimizeResult",
     "integrate",
     "minimize_unimodal",
+    "power_integral",
 ]
 
 
@@ -76,30 +78,16 @@ _WG = np.array([
 ])
 
 
-def _make_vector_eval(f):
-    """Wrap f so it can be called on a node array, probing once for support."""
-    probed = {"vectorized": None}
-
-    def evaluate(x: np.ndarray) -> np.ndarray:
-        if probed["vectorized"] is not False:
-            try:
-                y = np.asarray(f(x), dtype=float)
-                if y.shape == x.shape:
-                    probed["vectorized"] = True
-                    return y
-            except Exception:
-                pass
-            probed["vectorized"] = False
-        return np.array([float(f(xi)) for xi in x])
-
-    return evaluate
-
-
-def _gk15(evaluate, a: float, b: float) -> tuple[float, float]:
+def _gk15(f, a: float, b: float) -> tuple[float, float]:
     """One Gauss-Kronrod panel: returns (K15 estimate, error estimate)."""
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    y = evaluate(mid + half * _XK)
+    x = mid + half * _XK
+    y = np.asarray(f(x), dtype=float)
+    if y.shape != x.shape:
+        raise ValueError(
+            f"integrand must return one value per node: got shape {y.shape} "
+            f"for nodes of shape {x.shape}")
     if not np.all(np.isfinite(y)):
         raise QuadratureError(
             f"integrand returned a non-finite value on [{a!r}, {b!r}]")
@@ -117,7 +105,11 @@ def _gk15(evaluate, a: float, b: float) -> tuple[float, float]:
 
 
 def integrate(f, a: float, b: float, spec: QuadratureSpec | None = None) -> float:
-    """Adaptive integral of f over [a, b] to within max(abs_tol, rel_tol*|I|)."""
+    """Adaptive integral of f over [a, b] to within max(abs_tol, rel_tol*|I|).
+
+    f is called on an array of nodes and must return an array of the same
+    shape.
+    """
     if spec is None:
         spec = QuadratureSpec()
     if not (math.isfinite(a) and math.isfinite(b)):
@@ -127,8 +119,7 @@ def integrate(f, a: float, b: float, spec: QuadratureSpec | None = None) -> floa
     if a == b:
         return 0.0
 
-    evaluate = _make_vector_eval(f)
-    val, err = _gk15(evaluate, a, b)
+    val, err = _gk15(f, a, b)
     # max-heap of panels keyed by error (heapq is a min-heap; negate)
     panels = [(-err, a, b, val, err)]
     total = val
@@ -142,8 +133,8 @@ def integrate(f, a: float, b: float, spec: QuadratureSpec | None = None) -> floa
             # interval no longer splittable in double precision
             heapq.heappush(panels, (-perr, pa, pb, pval, perr))
             break
-        lv, le = _gk15(evaluate, pa, pm)
-        rv, re_ = _gk15(evaluate, pm, pb)
+        lv, le = _gk15(f, pa, pm)
+        rv, re_ = _gk15(f, pm, pb)
         total += lv + rv - pval
         total_err += le + re_ - perr
         heapq.heappush(panels, (-le, pa, pm, lv, le))
@@ -156,7 +147,15 @@ def integrate(f, a: float, b: float, spec: QuadratureSpec | None = None) -> floa
         best_estimate=total, error_bound=total_err)
 
 
+def power_integral(lo, hi, p: float):
+    """Integral of r^p dr from lo to hi, with the p = -1 logarithmic limit."""
+    if abs(p + 1.0) < 1e-9:
+        return np.log(hi / lo)
+    return (np.power(hi, p + 1.0) - np.power(lo, p + 1.0)) / (p + 1.0)
+
+
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+_GRID_POINTS = 64  # log-spaced points of the minimizer's pre-scan
 
 
 @dataclass(frozen=True)
@@ -167,30 +166,27 @@ class MinimizeResult:
     edge: str | None = None  # "low" or "high" when boundary is True
 
 
-def minimize_unimodal(g, lo: float, hi: float, tol: float = 1e-6,
-                      grid_points: int = 64) -> MinimizeResult:
+def minimize_unimodal(g, lo: float, hi: float, tol: float = 1e-6) -> MinimizeResult:
     """Minimize g over [lo, hi] via log-axis grid pre-scan + golden section.
 
-    The pre-scan (>= 64 log-spaced points, ties broken toward the lowest
+    The pre-scan (64 log-spaced points, ties broken toward the lowest
     argument) selects the bracketing cell; golden-section search then runs in
     log-argument space until the bracket's relative width falls below tol.
     The returned point is never worse than the best grid point.
     """
     if not (0 < lo < hi):
         raise ValueError(f"require 0 < lo < hi, got lo={lo!r}, hi={hi!r}")
-    if grid_points < 64:
-        grid_points = 64
 
-    xs = np.exp(np.linspace(math.log(lo), math.log(hi), grid_points))
+    xs = np.exp(np.linspace(math.log(lo), math.log(hi), _GRID_POINTS))
     gs = np.array([float(g(x)) for x in xs])
     if not np.all(np.isfinite(gs)):
         raise ValueError("objective returned a non-finite value during pre-scan")
     best = int(np.argmin(gs))  # argmin takes the first (lowest-argument) tie
 
-    boundary = best == 0 or best == grid_points - 1
-    edge = "low" if best == 0 else "high" if best == grid_points - 1 else None
+    boundary = best == 0 or best == _GRID_POINTS - 1
+    edge = "low" if best == 0 else "high" if best == _GRID_POINTS - 1 else None
     la = math.log(xs[max(best - 1, 0)])
-    lb = math.log(xs[min(best + 1, grid_points - 1)])
+    lb = math.log(xs[min(best + 1, _GRID_POINTS - 1)])
 
     # golden-section on t = log(x)
     h = lb - la

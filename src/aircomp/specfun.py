@@ -2,7 +2,8 @@
 
 Modified Bessel I0 (plain and exponentially scaled), the first-order Marcum
 Q-function, the Rician magnitude PDF/CCDF, and the Poisson inverse moment
-E[1/K; K >= 1] that multiplies the whole analytical MSE.
+E[1/K; K >= 1], which the paper's MSE variants put on the whole bracket and
+the "conditional" variant on the noise term only.
 
 All functions accept scalars or numpy arrays and are pure.
 """

@@ -129,7 +129,7 @@ class TestMseAnalytic:
             for _ in range(4000):
                 d = params.radius * np.sqrt(rng.uniform(size=k))
                 h = sample_fading(rng, rp, size=k)
-                re = Realization(distances=d, fadings=h, radius=params.radius)
+                re = Realization(distances=d, fadings=h)
                 values.append(realization_mse(re, eta, params))
             values = np.array(values)
             std_error = values.std(ddof=1) / math.sqrt(values.size)
@@ -167,16 +167,14 @@ class TestEtaStarRealization:
         # one device at d = 1, h = 1: eta_ref = P_max keeps it on the cap,
         # so eta* = ((P_max + w^2) / sqrt(P_max))^2
         params = make_params()
-        re = Realization(distances=np.array([1.0]), fadings=np.array([1.0]),
-                         radius=params.radius, window="disc")
+        re = Realization(distances=np.array([1.0]), fadings=np.array([1.0]))
         got = eta_star_realization(re, params.p_max, params)
         want = ((params.p_max + params.noise_power) ** 2) / params.p_max
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_empty_rejected(self):
         params = make_params()
-        re = Realization(distances=np.array([]), fadings=np.array([]),
-                         radius=params.radius, window="disc")
+        re = Realization(distances=np.array([]), fadings=np.array([]))
         with pytest.raises(ValueError):
             eta_star_realization(re, 1.0, params)
 

@@ -90,6 +90,19 @@ class TestSweepCommand:
             tmp_path, sweep={"parameter": "nope", "from": 1, "to": 2})
         assert main(["sweep", "--config", str(cfg_path)]) == 1
 
+    @pytest.mark.parametrize("overrides, message", [
+        ({"mc": {"iters": 0}}, "mc.iters"),
+        ({"mc": {"jobs": 0}}, "mc.jobs"),
+        ({"mc": {"mode": "bogus"}}, "mc.mode"),
+        ({"sweep": {"parameter": "lambda", "to": 0.05}}, "from and to"),
+        ({"sweep": {"parameter": "lambda", "from": 0.02}}, "from and to"),
+        ({"network": {"density": 0.05, "wavelength": 0.3}}, "bad network config"),
+    ], ids=["iters-0", "jobs-0", "mode-bogus", "no-from", "no-to", "wavelength"])
+    def test_bad_config_is_usage_error(self, tmp_path, capsys, overrides, message):
+        cfg_path = write_config(tmp_path, **overrides)
+        assert main(["sweep", "--config", str(cfg_path)]) == 1
+        assert message in capsys.readouterr().err
+
     def test_missing_config_file(self, tmp_path):
         assert main(["sweep", "--config", str(tmp_path / "absent.json")]) == 1
 

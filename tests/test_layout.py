@@ -1,0 +1,21 @@
+"""Package layout rules that no single module can check for itself."""
+
+import ast
+from pathlib import Path
+
+SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "aircomp").glob("*.py"))
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def test_no_private_cross_module_imports():
+    assert SOURCES
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and node.level > 0:
+                found += [f"{path.name}:{node.lineno} imports {alias.name}"
+                          for alias in node.names if _private(alias.name)]
+    assert not found, found

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from aircomp.model import NetworkParams, Realization, transmit_power
+from aircomp.model import (NetworkParams, Realization, effective_devices,
+                           realization_rng, sample_ppp_disc, transmit_power)
 from aircomp.montecarlo import (EmptyRealizationError, campbell_check,
                                 estimate_mse, frozen_power_objective,
                                 realization_mse)
@@ -16,10 +17,9 @@ def make_params(**kw):
     return NetworkParams(**base)
 
 
-def single_device(d, h, radius=10.0):
+def single_device(d, h):
     return Realization(distances=np.array([float(d)]),
-                       fadings=np.array([float(h)]),
-                       radius=radius, window="disc")
+                       fadings=np.array([float(h)]))
 
 
 class TestRealizationMse:
@@ -40,8 +40,7 @@ class TestRealizationMse:
     def test_clamp_vs_annulus_inner_device(self):
         params = make_params()
         re = Realization(distances=np.array([0.5, 2.0]),
-                         fadings=np.array([1.0, 1.0]),
-                         radius=params.radius, window="disc")
+                         fadings=np.array([1.0, 1.0]))
         clamp = realization_mse(re, 4.0, params, mode="clamp")
         annulus = realization_mse(re, 4.0, params, mode="annulus")
         # clamp treats the inner device as if at 1 m; annulus drops it
@@ -50,8 +49,7 @@ class TestRealizationMse:
 
     def test_empty_raises(self):
         params = make_params()
-        re = Realization(distances=np.array([0.5]), fadings=np.array([1.0]),
-                         radius=params.radius, window="disc")
+        re = Realization(distances=np.array([0.5]), fadings=np.array([1.0]))
         with pytest.raises(EmptyRealizationError):
             realization_mse(re, 4.0, params, mode="annulus")
 
@@ -59,8 +57,7 @@ class TestRealizationMse:
         params = make_params()
         rng = np.random.default_rng(0)
         re = Realization(distances=rng.uniform(1.0, 10.0, 8),
-                         fadings=rng.rayleigh(0.7, 8),
-                         radius=params.radius, window="disc")
+                         fadings=rng.rayleigh(0.7, 8))
         eta = 6.0
         powers = transmit_power(re.distances, re.fadings, eta, params)
         assert realization_mse(re, eta, params) == pytest.approx(
@@ -80,11 +77,28 @@ class TestEstimateMse:
         b = estimate_mse(params, 10.0, 200, seed=4)
         assert a.mean != b.mean
 
-    def test_parallel_bit_identical(self):
-        params = make_params()
-        serial = estimate_mse(params, 10.0, 400, seed=5, n_jobs=1)
-        parallel = estimate_mse(params, 10.0, 400, seed=5, n_jobs=4)
+    @pytest.mark.parametrize("cell, n_iter, n_jobs", [
+        ({}, 400, 4),
+        ({}, 401, 3),
+        ({"density": 0.001, "radius": 5.0}, 2000, 4),  # mostly empty draws
+    ], ids=["even", "uneven", "near-empty"])
+    def test_parallel_bit_identical(self, cell, n_iter, n_jobs):
+        params = make_params(**cell)
+        serial = estimate_mse(params, 10.0, n_iter, seed=5, n_jobs=1)
+        parallel = estimate_mse(params, 10.0, n_iter, seed=5, n_jobs=n_jobs)
         assert serial == parallel
+
+    @pytest.mark.parametrize("mode", ["clamp", "annulus"])
+    def test_mean_over_nonempty_realizations(self, mode):
+        params = make_params(density=0.02, radius=5.0)  # mean count ~1.6
+        values = []
+        for i in range(500):
+            re = sample_ppp_disc(realization_rng(8, i), params)
+            if effective_devices(re, mode)[0].size:
+                values.append(realization_mse(re, 10.0, params, mode))
+        est = estimate_mse(params, 10.0, 500, seed=8, mode=mode)
+        assert est.n_used == len(values) < 500
+        assert est.mean == np.mean(values)
 
     def test_standard_error_scaling(self):
         params = make_params()
@@ -106,6 +120,8 @@ class TestEstimateMse:
             estimate_mse(params, 10.0, 0, seed=0)
         with pytest.raises(ValueError):
             estimate_mse(params, 0.0, 10, seed=0)
+        with pytest.raises(ValueError):
+            estimate_mse(params, 10.0, 10, seed=0, n_jobs=0)
 
 
 class TestCampbellCheck:

@@ -56,9 +56,12 @@ class TestIntegrate:
         assert err.value.best_estimate == pytest.approx(2 / 3, rel=1e-2)
         assert err.value.error_bound > 0
 
-    def test_scalar_only_integrand(self):
-        got = integrate(lambda x: float(x) ** 3, 0.0, 2.0)
-        assert got == pytest.approx(4.0, rel=1e-12)
+    def test_scalar_only_integrand_raises(self):
+        # f is called on the node array and must return one value per node
+        with pytest.raises(TypeError):
+            integrate(lambda x: float(x) ** 3, 0.0, 2.0)
+        with pytest.raises(ValueError):
+            integrate(lambda x: 1.0, 0.0, 2.0)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
