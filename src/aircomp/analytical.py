@@ -127,36 +127,21 @@ def mse_analytic(params: NetworkParams, eta: float,
         return np.power(r, 0.5 * s) / ratio
 
     v_cap = _fading_cutoff(params)
+    v_hi = min(float(d_of_r(r_max)), v_cap)
 
-    if s > 0:
-        # v <= D(r)  <=>  r >= (v * ratio)^(2/s)
-        v_hi = min(float(d_of_r(r_max)), v_cap)
+    def capped_integrand(v):
+        # v <= D(r)  <=>  r >= (v * ratio)^(2/s); at s = 0 (epsilon = 0) the
+        # capping threshold is radius-independent and every r in [1, R] counts
+        v = np.asarray(v, dtype=float)
+        with np.errstate(over="ignore"):
+            r_lo = np.clip(np.power(v * ratio, 2.0 / s), 1.0, r_max) if s > 0 else 1.0
+        j1 = power_integral(r_lo, r_max, 1.0 - alpha)
+        j2 = power_integral(r_lo, r_max, 1.0 - 0.5 * alpha)
+        return rician_pdf(v, rp) * (ratio ** 2 * v * v * j1
+                                    - 2.0 * ratio * v * j2)
 
-        def capped_integrand(v):
-            v = np.asarray(v, dtype=float)
-            with np.errstate(over="ignore"):
-                r_lo = np.clip(np.power(v * ratio, 2.0 / s), 1.0, r_max)
-            j1 = power_integral(r_lo, r_max, 1.0 - alpha)
-            j2 = power_integral(r_lo, r_max, 1.0 - 0.5 * alpha)
-            return rician_pdf(v, rp) * (ratio ** 2 * v * v * j1
-                                        - 2.0 * ratio * v * j2)
-
-        capped_term = integrate(capped_integrand, 0.0, v_hi, _FADING_SPEC) \
-            if v_hi > 0 else 0.0
-    else:
-        # epsilon = 0: the capping threshold is radius-independent
-        d_const = 1.0 / ratio
-        v_hi = min(d_const, v_cap)
-        j1 = float(power_integral(1.0, r_max, 1.0 - alpha))
-        j2 = float(power_integral(1.0, r_max, 1.0 - 0.5 * alpha))
-
-        def capped_integrand(v):
-            v = np.asarray(v, dtype=float)
-            return rician_pdf(v, rp) * (ratio ** 2 * v * v * j1
-                                        - 2.0 * ratio * v * j2)
-
-        capped_term = integrate(capped_integrand, 0.0, v_hi, _FADING_SPEC) \
-            if v_hi > 0 else 0.0
+    capped_term = integrate(capped_integrand, 0.0, v_hi, _FADING_SPEC) \
+        if v_hi > 0 else 0.0
 
     kappa = 2.0 if variant == "printed" else 0.0
     a_marcum = rp.c / rp.sigma
@@ -213,11 +198,6 @@ class EtaBound:
     rician_mean_printed: float
     rician_mean_exact: float
 
-    @property
-    def components(self) -> tuple[float, float]:
-        return (max(self.capped_moment_printed, self.capped_moment_appendix),
-                self.ratio_moment)
-
 
 def eta_upper_bound(params: NetworkParams) -> EtaBound:
     """Maximum denoising factor bounding the search interval."""
@@ -248,14 +228,15 @@ def eta_upper_bound(params: NetworkParams) -> EtaBound:
 
 
 def eta_star_realization(re: Realization, eta_ref: float,
-                         params: NetworkParams, mode: str = "clamp") -> float:
+                         params: NetworkParams) -> float:
     """Stationary point of the per-realization objective in eta.
 
     ((sum d^-a P_k h^2 + w^2) / (sum d^-a/2 sqrt(P_k) h))^2, with the
     transmit powers frozen at eta_ref (the power-control branch of each
     device depends on eta; the bound derivation treats powers as given).
+    Devices within 1 m are clamped to 1 m.
     """
-    d, h = effective_devices(re, mode)
+    d, h = effective_devices(re, "clamp")
     if d.size == 0:
         raise ValueError("empty realization")
     p = transmit_power(d, h, eta_ref, params)

@@ -35,7 +35,9 @@ CSV_HEADER = ["param_value", "eta_used", "mse_analytic_printed",
               "mse_analytic_rederived", "mse_mc_mean", "mse_mc_stderr",
               "k_mean", "flags"]
 
-SWEEP_PARAMETERS = ("lambda", "radius", "rician_b", "eta")
+# swept name -> the NetworkParams field it replaces (eta replaces none)
+SWEEP_PARAMETERS = {"lambda": "density", "radius": "radius",
+                    "rician_b": "rician_b", "eta": None}
 MC_MODES = ("clamp", "annulus")
 
 EXIT_USAGE = 1
@@ -45,6 +47,14 @@ EXIT_ACCEPTANCE = 3
 
 class UsageError(ValueError):
     pass
+
+
+def _number(value, key: str, kind=float):
+    """kind(value), or a UsageError naming the config key."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"{key} must be a number, got {value!r}") from exc
 
 
 @dataclass
@@ -76,6 +86,9 @@ class RunConfig:
                 cfg.output_dir = value
         if cfg.variant not in PAPER_VARIANTS + ("both",):
             raise UsageError(f"variant must be printed|rederived|both, got {cfg.variant}")
+        if cfg.sweep:
+            cfg.sweep_values()
+        cfg.fixed_eta()
         cfg.mc_settings()
         return cfg
 
@@ -84,20 +97,53 @@ class RunConfig:
         net.update(replacements)
         if "snr_db" in net and "p_max" in net:
             raise UsageError("config must give snr_db or p_max, not both")
-        snr_db = net.pop("snr_db", None)
-        if snr_db is not None:
-            net["p_max"] = net.get("noise_power", 1.0) * 10.0 ** (snr_db / 10.0)
         defaults = {"density": 0.05, "radius": 10.0, "alpha": 2.1}
         for k, v in defaults.items():
             net.setdefault(k, v)
         try:
+            snr_db = net.pop("snr_db", None)
+            if snr_db is not None:
+                net["p_max"] = net.get("noise_power", 1.0) * 10.0 ** (snr_db / 10.0)
             return NetworkParams(**net)
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             raise UsageError(f"bad network config: {exc}") from exc
 
+    def sweep_values(self) -> tuple[str, np.ndarray]:
+        """The swept parameter's name and its grid of values."""
+        sweep = self.sweep
+        name = sweep.get("parameter")
+        if name not in SWEEP_PARAMETERS:
+            raise UsageError(f"sweep parameter must be one of "
+                             f"{'|'.join(SWEEP_PARAMETERS)}, got {name!r}")
+        if "from" not in sweep or "to" not in sweep:
+            raise UsageError("sweep needs from and to")
+        lo, hi = _number(sweep["from"], "sweep.from"), _number(sweep["to"], "sweep.to")
+        steps = _number(sweep.get("steps", 10), "sweep.steps", int)
+        if steps < 2:
+            raise UsageError("sweep needs steps >= 2")
+        if not lo < hi:
+            raise UsageError("sweep needs from < to")
+        log_scale = sweep.get("log_scale", False)
+        if (log_scale or name == "eta") and not lo > 0:
+            raise UsageError("sweep needs from > 0 on a log scale or over eta")
+        if log_scale:
+            return name, np.exp(np.linspace(math.log(lo), math.log(hi), steps))
+        return name, np.linspace(lo, hi, steps)
+
+    def fixed_eta(self) -> float | None:
+        """eta_policy.fixed, or None when eta is optimized per point."""
+        if "fixed" not in self.eta_policy:
+            return None
+        eta = _number(self.eta_policy["fixed"], "eta_policy.fixed")
+        if not eta > 0:
+            raise UsageError(f"eta_policy.fixed must be > 0, got {eta}")
+        return eta
+
     def mc_settings(self) -> tuple[int, int, str, int]:
-        iters, seed = int(self.mc.get("iters", 10000)), int(self.mc.get("seed", 0))
-        mode, jobs = str(self.mc.get("mode", "clamp")), int(self.mc.get("jobs", 1))
+        iters = _number(self.mc.get("iters", 10000), "mc.iters", int)
+        seed = _number(self.mc.get("seed", 0), "mc.seed", int)
+        jobs = _number(self.mc.get("jobs", 1), "mc.jobs", int)
+        mode = str(self.mc.get("mode", "clamp"))
         if iters < 1:
             raise UsageError(f"mc.iters must be >= 1, got {iters}")
         if jobs < 1:
@@ -122,45 +168,19 @@ def _write_run_metadata(out_dir: Path, cfg: RunConfig, extra: dict) -> None:
     (out_dir / "run.json").write_text(json.dumps(record, indent=2) + "\n")
 
 
-def _resolve_params_for_sweep(cfg: RunConfig, name: str, value: float) -> NetworkParams:
-    if name == "lambda":
-        return cfg.network_params(density=value)
-    if name == "radius":
-        return cfg.network_params(radius=value)
-    if name == "rician_b":
-        return cfg.network_params(rician_b=value)
-    if name == "eta":
-        return cfg.network_params()
-    raise UsageError(f"sweep parameter must be one of {SWEEP_PARAMETERS}, got {name!r}")
-
-
 def run_sweep(cfg: RunConfig) -> list[dict]:
-    sweep = cfg.sweep
-    name = sweep.get("parameter")
-    if name not in SWEEP_PARAMETERS:
-        raise UsageError(f"sweep parameter must be one of {SWEEP_PARAMETERS}, got {name!r}")
-    if "from" not in sweep or "to" not in sweep:
-        raise UsageError("sweep needs from and to")
-    lo, hi = float(sweep["from"]), float(sweep["to"])
-    steps = int(sweep.get("steps", 10))
-    if steps < 2:
-        raise UsageError("sweep needs steps >= 2")
-    if not lo < hi:
-        raise UsageError("sweep needs from < to")
-    if sweep.get("log_scale", False):
-        values = np.exp(np.linspace(math.log(lo), math.log(hi), steps))
-    else:
-        values = np.linspace(lo, hi, steps)
-
+    name, values = cfg.sweep_values()
+    replaced = SWEEP_PARAMETERS[name]
+    fixed_eta = cfg.fixed_eta()
     iters, seed, mode, jobs = cfg.mc_settings()
     rows = []
     for value in values:
-        params = _resolve_params_for_sweep(cfg, name, float(value))
+        params = cfg.network_params(**({replaced: float(value)} if replaced else {}))
         flags = [f"mode={mode}"]
         if name == "eta":
             eta = float(value)
-        elif "fixed" in cfg.eta_policy:
-            eta = float(cfg.eta_policy["fixed"])
+        elif fixed_eta is not None:
+            eta = fixed_eta
         else:
             opt = optimize_eta(params, cfg.opt_variant())
             eta = opt.eta
@@ -194,7 +214,7 @@ def write_sweep_csv(rows: list[dict], out_dir: Path) -> Path:
 
 
 def optimal_radius(cfg: RunConfig, r_min: float, r_max: float,
-                   ref_radius: float, grid_step: float = 1.0) -> dict:
+                   ref_radius: float) -> dict:
     if not (1.0 < r_min < r_max):
         raise UsageError("require 1 < r_min < r_max")
     variants = PAPER_VARIANTS if cfg.variant == "both" else (cfg.variant,)
@@ -205,7 +225,7 @@ def optimal_radius(cfg: RunConfig, r_min: float, r_max: float,
             params = cfg.network_params(radius=float(radius))
             return optimize_eta(params, variant).mse
 
-        grid = np.arange(r_min, r_max + 1e-9, grid_step)
+        grid = np.arange(r_min, r_max + 1e-9, 1.0)
         grid_mse = np.array([mse_at(r) for r in grid])
         i = int(np.argmin(grid_mse))
         lo = float(grid[max(i - 1, 0)])
@@ -226,6 +246,8 @@ def optimal_radius(cfg: RunConfig, r_min: float, r_max: float,
 
 
 def eta_report(cfg: RunConfig, n_points: int = 200) -> dict:
+    if n_points < 1:
+        raise UsageError(f"--points must be >= 1, got {n_points}")
     params = cfg.network_params()
     bound = eta_upper_bound(params)
     report = {

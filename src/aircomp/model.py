@@ -20,17 +20,12 @@ from .specfun import RicianParams
 __all__ = [
     "NetworkParams",
     "Realization",
-    "SQUARE_SIDE",
-    "path_loss",
     "effective_devices",
     "transmit_power",
     "sample_fading",
     "sample_ppp_disc",
     "realization_rng",
 ]
-
-SQUARE_SIDE = 100.0  # side of the square sampling window (m)
-
 
 @dataclass(frozen=True)
 class NetworkParams:
@@ -69,12 +64,6 @@ class NetworkParams:
     def rician(self) -> RicianParams:
         return RicianParams.from_b_factor(self.rician_b)
 
-    @classmethod
-    def from_snr_db(cls, snr_db: float, noise_power: float = 1.0, **kw) -> "NetworkParams":
-        """Convenience constructor: p_max = noise_power * 10^(snr_db / 10)."""
-        return cls(p_max=noise_power * 10.0 ** (snr_db / 10.0),
-                   noise_power=noise_power, **kw)
-
 
 @dataclass(frozen=True)
 class Realization:
@@ -90,15 +79,6 @@ class Realization:
     @property
     def count(self) -> int:
         return int(self.distances.size)
-
-
-def path_loss(d, alpha: float):
-    """d^{-alpha} outside the 1 m inner region, 1 inside it."""
-    d_arr = np.asarray(d, dtype=float)
-    if np.any(d_arr < 0):
-        raise ValueError("path_loss requires d >= 0")
-    out = np.where(d_arr < 1.0, 1.0, np.maximum(d_arr, 1.0) ** (-alpha))
-    return out if isinstance(d, np.ndarray) else float(out)
 
 
 def effective_devices(re: Realization, mode: str) -> tuple[np.ndarray, np.ndarray]:
@@ -146,33 +126,15 @@ def sample_fading(rng: np.random.Generator, rp: RicianParams, size=None):
     return np.hypot(rp.c + rp.sigma * g1, rp.sigma * g2)
 
 
-def sample_ppp_disc(rng: np.random.Generator, params: NetworkParams,
-                    window: str = "disc") -> Realization:
+def sample_ppp_disc(rng: np.random.Generator, params: NetworkParams) -> Realization:
     """Draw one PPP realization of devices inside the access disc.
 
-    window="disc": K ~ Poisson(lambda pi R^2), radii by CDF inversion
-    r = R sqrt(u), uniform angles (angles never materialized; only distances
-    matter).  window="square": uniform points in the SQUARE_SIDE x
-    SQUARE_SIDE window centered at the AP, filtered to d <= R.  Both are
-    distributionally identical whenever the disc fits the square.
+    K ~ Poisson(lambda pi R^2), radii by CDF inversion r = R sqrt(u), uniform
+    angles (angles never materialized; only distances matter).
     """
-    rp = params.rician()
-    if window == "disc":
-        k = rng.poisson(params.mean_count)
-        distances = params.radius * np.sqrt(rng.uniform(size=k))
-    elif window == "square":
-        if params.radius > SQUARE_SIDE / 2.0:
-            raise ValueError(
-                f"radius {params.radius} exceeds half the square side "
-                f"{SQUARE_SIDE / 2.0}; disc does not fit the window")
-        n = rng.poisson(params.density * SQUARE_SIDE ** 2)
-        x = rng.uniform(-SQUARE_SIDE / 2.0, SQUARE_SIDE / 2.0, size=n)
-        y = rng.uniform(-SQUARE_SIDE / 2.0, SQUARE_SIDE / 2.0, size=n)
-        d = np.hypot(x, y)
-        distances = d[d <= params.radius]
-    else:
-        raise ValueError(f"unknown window {window!r}")
-    fadings = sample_fading(rng, rp, size=distances.size)
+    k = rng.poisson(params.mean_count)
+    distances = params.radius * np.sqrt(rng.uniform(size=k))
+    fadings = sample_fading(rng, params.rician(), size=distances.size)
     return Realization(distances=distances, fadings=fadings)
 
 

@@ -57,11 +57,14 @@ def _mse(d: np.ndarray, h: np.ndarray, powers: np.ndarray, eta: float,
 
 
 def frozen_power_objective(re: Realization, powers: np.ndarray, eta: float,
-                           params: NetworkParams, mode: str = "clamp") -> float:
-    """Per-realization objective in eta with the transmit powers held fixed."""
+                           params: NetworkParams) -> float:
+    """Per-realization objective in eta with the transmit powers held fixed.
+
+    Devices within 1 m are clamped to 1 m.
+    """
     if not eta > 0:
         raise ValueError("eta must be > 0")
-    d, h = effective_devices(re, mode)
+    d, h = effective_devices(re, "clamp")
     return _mse(d, h, powers, eta, params)
 
 
@@ -131,8 +134,7 @@ class CampbellReport:
         return max(abs(z) for z in self.z_scores)
 
 
-def campbell_check(params: NetworkParams, n_iter: int, seed: int,
-                   window: str = "disc") -> CampbellReport:
+def campbell_check(params: NetworkParams, n_iter: int, seed: int) -> CampbellReport:
     """Check E[sum_k g(d_k, h_k)] against 2 pi lambda int_1^R E_v[g] r dr.
 
     Test functionals over devices with d in [1, R]: the count, the received
@@ -143,7 +145,7 @@ def campbell_check(params: NetworkParams, n_iter: int, seed: int,
     alpha = params.alpha
     sums = np.zeros((n_iter, 3))
     for i in range(n_iter):
-        re = sample_ppp_disc(realization_rng(seed, i), params, window=window)
+        re = sample_ppp_disc(realization_rng(seed, i), params)
         d, h = effective_devices(re, "annulus")
         sums[i] = (d.size,
                    float(np.sum(d ** -alpha * h ** 2)),

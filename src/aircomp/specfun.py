@@ -1,6 +1,6 @@
 """Special functions for the fading and device-count statistics.
 
-Modified Bessel I0 (plain and exponentially scaled), the first-order Marcum
+The exponentially scaled modified Bessel I0, the first-order Marcum
 Q-function, the Rician magnitude PDF/CCDF, and the Poisson inverse moment
 E[1/K; K >= 1], which the paper's MSE variants put on the whole bracket and
 the "conditional" variant on the noise term only.
@@ -17,7 +17,6 @@ import numpy as np
 
 __all__ = [
     "RicianParams",
-    "bessel_i0",
     "bessel_i0e",
     "marcum_q1",
     "rician_pdf",
@@ -29,7 +28,6 @@ __all__ = [
 # the asymptotic series bottoms out near e^{-2x} ~ 1e-26, far below the
 # 1e-10 accuracy target, and the series still cannot overflow.
 _I0_CUTOFF = 30.0
-_I0_OVERFLOW = 700.0  # exp(x) overflows just above 709
 
 
 def _i0_series(x: np.ndarray) -> np.ndarray:
@@ -76,18 +74,6 @@ def bessel_i0e(x):
         out[small] = np.exp(-xs) * _i0_series(xs)
     if np.any(~small):
         out[~small] = _i0e_asymptotic(x_arr[~small])
-    return out if isinstance(x, np.ndarray) else float(out)
-
-
-def bessel_i0(x):
-    """Modified zeroth-order Bessel function of the first kind, x >= 0."""
-    x_arr = np.asarray(x, dtype=float)
-    if np.any(x_arr < 0):
-        raise ValueError("bessel_i0 requires x >= 0")
-    if np.any(x_arr > _I0_OVERFLOW):
-        raise OverflowError(
-            "bessel_i0 would overflow; use bessel_i0e for large arguments")
-    out = np.exp(x_arr) * np.asarray(bessel_i0e(x_arr))
     return out if isinstance(x, np.ndarray) else float(out)
 
 

@@ -12,12 +12,11 @@ import pytest
 from aircomp import acceptance
 from aircomp.analytical import mse_analytic
 
-N_ITER = 10_000
-
 
 @pytest.fixture(scope="module")
 def fig2_grid():
-    return acceptance.compute_fig2_grid(n_iter=N_ITER)
+    assert acceptance.N_ITER == 10_000  # pinned for criteria 2-4
+    return acceptance.compute_fig2_grid()
 
 
 def report(result):
@@ -32,7 +31,8 @@ def test_criterion_1_special_functions():
 
 
 def test_criterion_2_campbell_oracle():
-    report(acceptance.criterion_2(n_iter=N_ITER))
+    assert acceptance.N_ITER == 10_000
+    report(acceptance.criterion_2())
 
 
 def test_criterion_3_theorem_adjudication(fig2_grid):

@@ -97,7 +97,14 @@ class TestSweepCommand:
         ({"sweep": {"parameter": "lambda", "to": 0.05}}, "from and to"),
         ({"sweep": {"parameter": "lambda", "from": 0.02}}, "from and to"),
         ({"network": {"density": 0.05, "wavelength": 0.3}}, "bad network config"),
-    ], ids=["iters-0", "jobs-0", "mode-bogus", "no-from", "no-to", "wavelength"])
+        ({"mc": {"iters": None}}, "mc.iters"),
+        ({"sweep": {"parameter": "lambda", "from": "x", "to": 0.05}}, "sweep.from"),
+        ({"eta_policy": {"fixed": -1}}, "eta_policy.fixed"),
+        ({"network": {"density": -0.05},
+          "sweep": {"parameter": "radius", "from": 5.0, "to": 10.0, "steps": 2}},
+         "bad network config"),
+    ], ids=["iters-0", "jobs-0", "mode-bogus", "no-from", "no-to", "wavelength",
+            "iters-null", "from-text", "fixed-negative", "density-negative"])
     def test_bad_config_is_usage_error(self, tmp_path, capsys, overrides, message):
         cfg_path = write_config(tmp_path, **overrides)
         assert main(["sweep", "--config", str(cfg_path)]) == 1
@@ -124,6 +131,11 @@ class TestEtaReportCommand:
             rows = list(csv.reader(fh))
         assert rows[0] == ["eta", "rederived"]
         assert len(rows) == 21
+
+    def test_no_points_is_usage_error(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path)
+        assert main(["eta-report", "--config", str(cfg_path), "--points", "0"]) == 1
+        assert "--points" in capsys.readouterr().err
 
 
 class TestOptimalRadiusCommand:

@@ -1,6 +1,7 @@
 """Package layout rules that no single module can check for itself."""
 
 import ast
+import importlib
 from pathlib import Path
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "aircomp").glob("*.py"))
@@ -19,3 +20,15 @@ def test_no_private_cross_module_imports():
                 found += [f"{path.name}:{node.lineno} imports {alias.name}"
                           for alias in node.names if _private(alias.name)]
     assert not found, found
+
+
+def test_all_names_exist():
+    assert SOURCES
+    missing = []
+    for path in SOURCES:
+        name = "aircomp" if path.stem == "__init__" else f"aircomp.{path.stem}"
+        module = importlib.import_module(name)
+        missing += [f"{path.name} exports missing {export}"
+                    for export in getattr(module, "__all__", ())
+                    if not hasattr(module, export)]
+    assert not missing, missing

@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from aircomp.model import (SQUARE_SIDE, NetworkParams, path_loss,
-                           realization_rng, sample_fading, sample_ppp_disc,
-                           transmit_power)
+from aircomp.model import (NetworkParams, realization_rng, sample_fading,
+                           sample_ppp_disc, transmit_power)
 from aircomp.numerics import integrate
 from aircomp.specfun import RicianParams, rician_ccdf
 
@@ -30,25 +29,6 @@ class TestNetworkParams:
     def test_mean_count(self):
         p = make_params(density=0.05, radius=15.0)
         assert p.mean_count == pytest.approx(0.05 * math.pi * 225.0)
-
-    def test_snr_constructor(self):
-        p = NetworkParams.from_snr_db(30.0, density=0.05, radius=10.0, alpha=2.1)
-        assert p.p_max == pytest.approx(1000.0)
-
-
-class TestPathLoss:
-    def test_boundary(self):
-        assert path_loss(1.0, 2.1) == 1.0
-
-    def test_inner_clamp(self):
-        assert path_loss(0.5, 2.1) == 1.0
-
-    def test_direct(self):
-        assert path_loss(10.0, 2.0) == pytest.approx(0.01)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            path_loss(-1.0, 2.0)
 
 
 class TestTransmitPower:
@@ -89,7 +69,7 @@ class TestTransmitPower:
         h = sample_fading(rng, p.rician(), 500)
         power = transmit_power(d, h, eta, p)
         uncapped = power < p.p_max
-        received = path_loss(d, p.alpha) * power * h ** 2
+        received = d ** -p.alpha * power * h ** 2
         assert np.allclose(received[uncapped], eta, rtol=1e-12)
 
     def test_rejects_inner_distances(self):
@@ -166,20 +146,3 @@ class TestSamplePpp:
         b = sample_ppp_disc(realization_rng(99, 5), p)
         assert np.array_equal(a.distances, b.distances)
         assert np.array_equal(a.fadings, b.fadings)
-
-    def test_square_window_mean_count(self):
-        p = make_params()
-        counts = np.array([
-            sample_ppp_disc(realization_rng(15, i), p, window="square").count
-            for i in range(5000)], dtype=float)
-        se = counts.std(ddof=1) / math.sqrt(counts.size)
-        assert abs(counts.mean() - p.mean_count) <= 3.0 * se
-
-    def test_square_window_radius_limit(self):
-        p = make_params(radius=SQUARE_SIDE / 2 + 1.0)
-        with pytest.raises(ValueError):
-            sample_ppp_disc(realization_rng(0, 0), p, window="square")
-
-    def test_unknown_window(self):
-        with pytest.raises(ValueError):
-            sample_ppp_disc(realization_rng(0, 0), make_params(), window="hex")
