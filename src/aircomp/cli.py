@@ -50,7 +50,15 @@ class UsageError(ValueError):
 
 
 def _number(value, key: str, kind=float):
-    """kind(value), or a UsageError naming the config key."""
+    """kind(value), or a UsageError naming the config key.
+
+    Booleans are not numbers here, and an int must be integral: 1e4 is
+    accepted, 2.5 is not truncated to 2.
+    """
+    if isinstance(value, bool):
+        raise UsageError(f"{key} must be a number, got {value!r}")
+    if kind is int and isinstance(value, float) and not value.is_integer():
+        raise UsageError(f"{key} must be an integer, got {value!r}")
     try:
         return kind(value)
     except (TypeError, ValueError) as exc:

@@ -45,6 +45,13 @@ class TestRunConfig:
         assert cfg.variant == "printed"
         assert cfg.output_dir == "elsewhere"
 
+    def test_integral_float_counts_accepted(self):
+        cfg = RunConfig(mc={"iters": 1e4, "jobs": 2.0},
+                        sweep={"parameter": "lambda", "from": 0.02, "to": 0.05,
+                               "steps": 3.0})
+        assert cfg.mc_settings() == (10000, 0, "clamp", 2)
+        assert cfg.sweep_values()[1].size == 3
+
     def test_conditional_variant_rejected(self, tmp_path):
         # the CLI reports the paper's two variants only
         with pytest.raises(UsageError):
@@ -103,8 +110,13 @@ class TestSweepCommand:
         ({"network": {"density": -0.05},
           "sweep": {"parameter": "radius", "from": 5.0, "to": 10.0, "steps": 2}},
          "bad network config"),
+        ({"mc": {"iters": 2.5}}, "mc.iters"),
+        ({"mc": {"jobs": True}}, "mc.jobs"),
+        ({"sweep": {"parameter": "lambda", "from": 0.02, "to": 0.05, "steps": 2.9}},
+         "sweep.steps"),
     ], ids=["iters-0", "jobs-0", "mode-bogus", "no-from", "no-to", "wavelength",
-            "iters-null", "from-text", "fixed-negative", "density-negative"])
+            "iters-null", "from-text", "fixed-negative", "density-negative",
+            "iters-fraction", "jobs-bool", "steps-fraction"])
     def test_bad_config_is_usage_error(self, tmp_path, capsys, overrides, message):
         cfg_path = write_config(tmp_path, **overrides)
         assert main(["sweep", "--config", str(cfg_path)]) == 1

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import sys
 from pathlib import Path
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "aircomp").glob("*.py"))
@@ -32,3 +33,24 @@ def test_all_names_exist():
                     for export in getattr(module, "__all__", ())
                     if not hasattr(module, export)]
     assert not missing, missing
+
+
+def test_runtime_imports_numpy_and_stdlib_only():
+    # scipy is a test-only oracle; numpy's underscore modules are not API
+    assert SOURCES
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            for name in names:
+                top, *rest = name.split(".")
+                if top == "numpy" and any(_private(part) for part in rest):
+                    found.append(f"{path.name}:{node.lineno} imports private {name}")
+                elif top != "numpy" and top not in sys.stdlib_module_names:
+                    found.append(f"{path.name}:{node.lineno} imports {name}")
+    assert not found, found

@@ -1,10 +1,41 @@
+import heapq
 import math
 
 import numpy as np
 import pytest
 
+from aircomp import numerics
 from aircomp.numerics import (QuadratureError, QuadratureSpec, integrate,
                               minimize_unimodal)
+
+
+def two_call_integrate_oracle(f, a, b, spec):
+    """The same adaptive G7-K15 scheme with one integrand call per panel,
+    two per bisection.  Returns (integral, number of bisections)."""
+    def panel(lo, hi):
+        half, mid = 0.5 * (hi - lo), 0.5 * (lo + hi)
+        y = np.asarray(f(mid + half * numerics._XK), dtype=float)
+        ik = half * float(numerics._WK @ y)
+        ig = half * float(numerics._WG @ y[1::2])
+        resasc = half * float(numerics._WK @ np.abs(y - ik / (hi - lo)))
+        diff = abs(ik - ig)
+        if resasc > 0 and diff > 0:
+            return ik, resasc * min(1.0, (200.0 * diff / resasc) ** 1.5)
+        return ik, diff
+
+    val, err = panel(a, b)
+    heap = [(-err, a, b, val, err)]
+    total, total_err, bisections = val, err, 0
+    while total_err > max(spec.abs_tol, spec.rel_tol * abs(total)):
+        _, pa, pb, pval, perr = heapq.heappop(heap)
+        pm = 0.5 * (pa + pb)
+        (lv, le), (rv, re_) = panel(pa, pm), panel(pm, pb)
+        total += lv + rv - pval
+        total_err += le + re_ - perr
+        heapq.heappush(heap, (-le, pa, pm, lv, le))
+        heapq.heappush(heap, (-re_, pm, pb, rv, re_))
+        bisections += 1
+    return total, bisections
 
 
 class TestIntegrate:
@@ -62,6 +93,19 @@ class TestIntegrate:
             integrate(lambda x: float(x) ** 3, 0.0, 2.0)
         with pytest.raises(ValueError):
             integrate(lambda x: 1.0, 0.0, 2.0)
+
+    def test_one_integrand_call_per_bisection(self):
+        def f(x):
+            return np.sqrt(x) + 1.0 / (1e-3 + (x - 0.3) ** 2)
+
+        spec = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-14)
+        sizes = []
+        got = integrate(lambda x: sizes.append(x.size) or f(x), 0.0, 1.0, spec)
+        expected, bisections = two_call_integrate_oracle(f, 0.0, 1.0, spec)
+        assert bisections >= 10
+        assert len(sizes) == 1 + bisections
+        assert sizes[0] == 15 and set(sizes[1:]) == {30}
+        assert got == pytest.approx(expected, rel=1e-15, abs=0)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
