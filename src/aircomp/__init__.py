@@ -4,7 +4,7 @@ from .analytical import (AnalyticBreakdown, EtaBound, EtaOptimum,
                          eta_star_realization, eta_upper_bound, mse_analytic,
                          optimize_eta)
 from .model import (NetworkParams, Realization, realization_rng, sample_fading,
-                    sample_ppp_disc, transmit_power)
+                    sample_ppp_chunks, sample_ppp_disc, transmit_power)
 from .montecarlo import (CampbellReport, MseEstimate, campbell_check,
                          estimate_mse, realization_mse)
 from .numerics import QuadratureSpec, integrate, minimize_unimodal

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .analytical import PAPER_VARIANTS, eta_upper_bound, mse_analytic, optimize_eta
-from .model import NetworkParams
+from .model import MODES, NetworkParams
 from .montecarlo import estimate_mse
 from .numerics import QuadratureError, minimize_unimodal
 
@@ -38,7 +38,6 @@ CSV_HEADER = ["param_value", "eta_used", "mse_analytic_printed",
 # swept name -> the NetworkParams field it replaces (eta replaces none)
 SWEEP_PARAMETERS = {"lambda": "density", "radius": "radius",
                     "rician_b": "rician_b", "eta": None}
-MC_MODES = ("clamp", "annulus")
 
 EXIT_USAGE = 1
 EXIT_NUMERIC = 2
@@ -156,8 +155,8 @@ class RunConfig:
             raise UsageError(f"mc.iters must be >= 1, got {iters}")
         if jobs < 1:
             raise UsageError(f"mc.jobs must be >= 1, got {jobs}")
-        if mode not in MC_MODES:
-            raise UsageError(f"mc.mode must be clamp|annulus, got {mode!r}")
+        if mode not in MODES:
+            raise UsageError(f"mc.mode must be {'|'.join(MODES)}, got {mode!r}")
         return iters, seed, mode, jobs
 
     def opt_variant(self) -> str:
@@ -309,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--seed", type=int, help="master seed (default 0)")
         p.add_argument("--iters", type=int, help="Monte Carlo iterations (default 10000)")
-        p.add_argument("--mode", choices=MC_MODES,
+        p.add_argument("--mode", choices=MODES,
                        help="inner-disc policy (default clamp)")
         p.add_argument("--variant", choices=["printed", "rederived", "both"],
                        help="analytic formula variant (default both)")

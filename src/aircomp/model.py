@@ -6,11 +6,15 @@ sampling, and Poisson point process layout sampling inside the access disc.
 
 All sampling takes an explicit numpy Generator; per-iteration generators are
 pure functions of (seed, index) so parallel and serial runs agree bit for bit.
+A disc realization is a raw draw from its stream followed by an elementwise
+transform; `sample_ppp_chunks` applies the transform to many realizations'
+draws at once, which gives the same devices as `sample_ppp_disc` one by one.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,14 +22,26 @@ import numpy as np
 from .specfun import RicianParams
 
 __all__ = [
+    "MODES",
+    "CHUNK_DEVICES",
     "NetworkParams",
     "Realization",
     "effective_devices",
     "transmit_power",
     "sample_fading",
     "sample_ppp_disc",
+    "sample_ppp_chunks",
     "realization_rng",
 ]
+
+# Inner-disc policies for devices within 1 m of the access point.
+MODES = ("clamp", "annulus")
+
+# Devices per chunk of sample_ppp_chunks.  Sized by device count, not by
+# realization count, so that a chunk's arrays stay a few tens of kB at any
+# mean device count.
+CHUNK_DEVICES = 4096
+
 
 @dataclass(frozen=True)
 class NetworkParams:
@@ -81,14 +97,23 @@ class Realization:
         return int(self.distances.size)
 
 
-def effective_devices(re: Realization, mode: str) -> tuple[np.ndarray, np.ndarray]:
-    """Apply the inner-disc policy: clamp distances to 1 m or drop the devices."""
+def _inner_disc_policy(re: Realization, bounds: list[int], mode: str):
+    """The inner-disc policy on consecutive realizations, realization j
+    owning devices bounds[j] .. bounds[j + 1] - 1: clamp distances to 1 m or
+    drop the devices.  Returns the distances, fadings and bounds left."""
     if mode == "clamp":
-        return np.maximum(re.distances, 1.0), re.fadings
+        return np.maximum(re.distances, 1.0), re.fadings, bounds
     if mode == "annulus":
         keep = re.distances >= 1.0
-        return re.distances[keep], re.fadings[keep]
+        kept = np.concatenate(([0], np.cumsum(keep)))
+        return re.distances[keep], re.fadings[keep], kept[bounds].tolist()
     raise ValueError(f"unknown mode {mode!r}")
+
+
+def effective_devices(re: Realization, mode: str) -> tuple[np.ndarray, np.ndarray]:
+    """Apply the inner-disc policy: clamp distances to 1 m or drop the devices."""
+    d, h, _ = _inner_disc_policy(re, [0, re.count], mode)
+    return d, h
 
 
 def transmit_power(d, h_mag, eta: float, params: NetworkParams):
@@ -116,29 +141,88 @@ def transmit_power(d, h_mag, eta: float, params: NetworkParams):
     return float(out) if scalar else out
 
 
-def sample_fading(rng: np.random.Generator, rp: RicianParams, size=None):
-    """Rician fading magnitudes |c + sigma (g1 + j g2)| with g1, g2 ~ N(0, 1).
-
-    The LoS phase is fixed to zero: every downstream quantity reads |h| only.
-    """
-    g1 = rng.standard_normal(size)
-    g2 = rng.standard_normal(size)
+def _fading(rp: RicianParams, g1, g2):
+    """|c + sigma (g1 + j g2)|: the LoS phase is fixed to zero, because every
+    downstream quantity reads |h| only."""
     return np.hypot(rp.c + rp.sigma * g1, rp.sigma * g2)
 
 
-def sample_ppp_disc(rng: np.random.Generator, params: NetworkParams) -> Realization:
-    """Draw one PPP realization of devices inside the access disc.
+def sample_fading(rng: np.random.Generator, rp: RicianParams, size=None):
+    """Rician fading magnitudes |c + sigma (g1 + j g2)| with g1, g2 ~ N(0, 1)."""
+    g1 = rng.standard_normal(size)
+    return _fading(rp, g1, rng.standard_normal(size))
 
-    K ~ Poisson(lambda pi R^2), radii by CDF inversion r = R sqrt(u), uniform
-    angles (angles never materialized; only distances matter).
+
+def _draw_disc(rng: np.random.Generator, mean_count: float):
+    """Raw draws of one disc realization, in stream order: K ~ Poisson, then
+    K uniforms for the radii, then K + K standard normals for the fading.
+
+    rng.random(k) is rng.uniform(size=k) bit for bit without uniform's
+    argument handling, and a (2, k) draw is two draws of k in stream order.
     """
-    k = rng.poisson(params.mean_count)
-    distances = params.radius * np.sqrt(rng.uniform(size=k))
-    fadings = sample_fading(rng, params.rician(), size=distances.size)
-    return Realization(distances=distances, fadings=fadings)
+    k = rng.poisson(mean_count)
+    u = rng.random(k)
+    return u, rng.standard_normal((2, k))
+
+
+def _disc_devices(params: NetworkParams, rp: RicianParams, u, g) -> Realization:
+    """Devices of raw disc draws: radii by CDF inversion r = R sqrt(u), uniform
+    angles (never materialized; only distances matter), Rician fading from
+    the normal pairs (g[0], g[1])."""
+    return Realization(distances=params.radius * np.sqrt(u),
+                       fadings=_fading(rp, g[0], g[1]))
+
+
+def sample_ppp_disc(rng: np.random.Generator, params: NetworkParams) -> Realization:
+    """Draw one PPP realization of devices inside the access disc,
+    K ~ Poisson(lambda pi R^2)."""
+    return _disc_devices(params, params.rician(),
+                         *_draw_disc(rng, params.mean_count))
+
+
+def sample_ppp_chunks(params: NetworkParams, seed: int, start: int, stop: int,
+                      mode: str) -> Iterator[tuple[np.ndarray, np.ndarray, list[int]]]:
+    """Realizations start .. stop - 1 of the (seed, i) streams, in chunks.
+
+    Realization i is `sample_ppp_disc(realization_rng(seed, i), params)`
+    with the inner-disc policy `mode` applied.  The raw draws of consecutive
+    realizations are collected until a chunk holds CHUNK_DEVICES devices;
+    the transform and the policy then run once on the whole chunk.  Yields
+    (distances, fadings, bounds): realization j of the chunk owns the
+    devices bounds[j] .. bounds[j + 1] - 1, and an empty one owns none.
+    """
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+    return _chunks(params, seed, start, stop, mode)
+
+
+def _chunks(params: NetworkParams, seed: int, start: int, stop: int, mode: str):
+    """The generator behind sample_ppp_chunks, which checks mode first."""
+    mean_count, rp = params.mean_count, params.rician()
+    i = start
+    while i < stop:
+        u, g, bounds = _draw_chunk(seed, i, stop, mean_count)
+        i += len(bounds) - 1
+        yield _inner_disc_policy(_disc_devices(params, rp, u, g), bounds, mode)
+
+
+def _draw_chunk(seed: int, start: int, stop: int, mean_count: float):
+    """Raw draws of realizations start, start + 1, ... until they hold
+    CHUNK_DEVICES devices or reach stop, joined: (u, g, bounds).  The
+    per-realization arrays are freed on return, before the chunk is used."""
+    us, gs, bounds = [], [], [0]
+    for i in range(start, stop):
+        u, g = _draw_disc(realization_rng(seed, i), mean_count)
+        us.append(u)
+        gs.append(g)
+        bounds.append(bounds[-1] + u.size)
+        if bounds[-1] >= CHUNK_DEVICES:
+            break
+    return np.concatenate(us), np.concatenate(gs, axis=1), bounds
 
 
 def realization_rng(seed: int, index: int) -> np.random.Generator:
-    """Per-iteration random stream, a pure function of (seed, index)."""
-    return np.random.default_rng(
-        np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
+    """Per-iteration random stream, a pure function of (seed, index): the
+    stream numpy's default_rng(SeedSequence(seed, spawn_key=(index,))) gives."""
+    return np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence(seed, spawn_key=(index,))))

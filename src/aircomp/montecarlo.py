@@ -4,6 +4,14 @@ The per-realization MSE is the conditional expectation over symbols and
 noise, so Monte Carlo variance comes only from the layout, the device count,
 and the fading draws.  Iteration i always uses the random stream derived
 from (seed, i); runs are therefore bit-identical regardless of worker count.
+
+Realizations are processed in chunks (model.sample_ppp_chunks): each one is
+still drawn from its own stream, in the same order, but the transform, the
+inner-disc policy, the transmit powers and the amplitudes run once per
+chunk of about model.CHUNK_DEVICES devices, so their per-call cost is not
+paid per realization.  Each realization's sum stays a reduction over its own
+slice, so every output equals the per-realization computation bit for bit,
+wherever the chunks end.
 """
 
 from __future__ import annotations
@@ -15,8 +23,8 @@ from multiprocessing import Pool
 import numpy as np
 
 from .analytical import rician_mean
-from .model import NetworkParams, Realization, effective_devices, \
-    realization_rng, sample_ppp_disc, transmit_power
+from .model import MODES, NetworkParams, Realization, effective_devices, \
+    sample_ppp_chunks, transmit_power
 from .numerics import power_integral
 
 __all__ = [
@@ -48,12 +56,30 @@ class MseEstimate:
 
 
 def _mse(d: np.ndarray, h: np.ndarray, powers: np.ndarray, eta: float,
-         params: NetworkParams) -> float:
-    """(sum_k (a_k - 1)^2 + w^2 / eta) / K over the K = d.size devices."""
+         params: NetworkParams, bounds: list[int]) -> list[float]:
+    """(sum_k (a_k - 1)^2 + w^2 / eta) / K of each non-empty realization, in
+    order; realization j owns the K = bounds[j + 1] - bounds[j] devices that
+    start at bounds[j].
+
+    The amplitudes are computed once for all realizations, but each sum is
+    taken over the realization's own slice, so it rounds exactly as the sum
+    over that realization alone would.  A segmented reduction such as
+    np.add.reduceat groups the additions differently and can move the last
+    bit.  np.add.reduce is np.sum without its dispatch wrapper.
+    """
+    sq = (d ** (-0.5 * params.alpha) * np.sqrt(powers) * h / math.sqrt(eta) - 1.0) ** 2
+    noise = params.noise_power / eta
+    return [(float(np.add.reduce(sq[a:b])) + noise) / (b - a)
+            for a, b in zip(bounds, bounds[1:]) if b > a]
+
+
+def _single_mse(d: np.ndarray, h: np.ndarray, powers: np.ndarray, eta: float,
+                params: NetworkParams) -> float:
+    """The MSE of one realization; raises EmptyRealizationError if it has no
+    devices."""
     if d.size == 0:
         raise EmptyRealizationError("realization has no devices")
-    amp = d ** (-0.5 * params.alpha) * np.sqrt(powers) * h / math.sqrt(eta)
-    return (float(np.sum((amp - 1.0) ** 2)) + params.noise_power / eta) / d.size
+    return _mse(d, h, powers, eta, params, [0, d.size])[0]
 
 
 def frozen_power_objective(re: Realization, powers: np.ndarray, eta: float,
@@ -65,25 +91,22 @@ def frozen_power_objective(re: Realization, powers: np.ndarray, eta: float,
     if not eta > 0:
         raise ValueError("eta must be > 0")
     d, h = effective_devices(re, "clamp")
-    return _mse(d, h, powers, eta, params)
+    return _single_mse(d, h, powers, eta, params)
 
 
 def realization_mse(re: Realization, eta: float, params: NetworkParams,
                     mode: str = "clamp") -> float:
     """Conditional MSE of one realization at denoising factor eta."""
     d, h = effective_devices(re, mode)
-    return _mse(d, h, transmit_power(d, h, eta, params), eta, params)
+    return _single_mse(d, h, transmit_power(d, h, eta, params), eta, params)
 
 
 def _mc_range(args) -> np.ndarray:
     """MSEs of the non-empty realizations among indices start .. stop - 1."""
     params, eta, seed, start, stop, mode = args
     values = []
-    for i in range(start, stop):
-        re = sample_ppp_disc(realization_rng(seed, i), params)
-        d, h = effective_devices(re, mode)
-        if d.size:
-            values.append(_mse(d, h, transmit_power(d, h, eta, params), eta, params))
+    for d, h, bounds in sample_ppp_chunks(params, seed, start, stop, mode):
+        values += _mse(d, h, transmit_power(d, h, eta, params), eta, params, bounds)
     return np.array(values)
 
 
@@ -104,6 +127,8 @@ def estimate_mse(params: NetworkParams, eta: float, n_iter: int, seed: int,
         raise ValueError("eta must be > 0")
     if n_jobs < 1:
         raise ValueError("n_jobs must be >= 1")
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}")
     bounds = [n_iter * j // n_jobs for j in range(n_jobs + 1)]
     ranges = [(params, eta, seed, lo, hi, mode) for lo, hi in zip(bounds, bounds[1:])]
     if n_jobs == 1:
@@ -143,13 +168,14 @@ def campbell_check(params: NetworkParams, n_iter: int, seed: int) -> CampbellRep
     if n_iter < 1000:
         raise ValueError("campbell_check needs n_iter >= 1000")
     alpha = params.alpha
-    sums = np.zeros((n_iter, 3))
-    for i in range(n_iter):
-        re = sample_ppp_disc(realization_rng(seed, i), params)
-        d, h = effective_devices(re, "annulus")
-        sums[i] = (d.size,
-                   float(np.sum(d ** -alpha * h ** 2)),
-                   float(np.sum(d ** (-0.5 * alpha) * h)))
+    rows = []
+    for d, h, bounds in sample_ppp_chunks(params, seed, 0, n_iter, "annulus"):
+        power = d ** -alpha * h ** 2
+        amplitude = d ** (-0.5 * alpha) * h
+        rows += [(b - a, float(np.add.reduce(power[a:b])),
+                  float(np.add.reduce(amplitude[a:b])))
+                 for a, b in zip(bounds, bounds[1:])]
+    sums = np.array(rows, dtype=float)
 
     mean_h = rician_mean(params)
     two_pi_lam = 2.0 * math.pi * params.density

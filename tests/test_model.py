@@ -146,3 +146,19 @@ class TestSamplePpp:
         b = sample_ppp_disc(realization_rng(99, 5), p)
         assert np.array_equal(a.distances, b.distances)
         assert np.array_equal(a.fadings, b.fadings)
+
+    @pytest.mark.parametrize("seed, index", [(0, 0), (7, 3), (2 ** 40, 2 ** 33)])
+    def test_stream_contract(self, seed, index):
+        # realization i is these draws, in this order, from the stream numpy
+        # derives from SeedSequence(seed, spawn_key=(i,))
+        p = make_params()
+        rng = np.random.default_rng(
+            np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
+        k = rng.poisson(p.mean_count)
+        distances = p.radius * np.sqrt(rng.uniform(size=k))
+        rp = p.rician()
+        g1 = rng.standard_normal(k)
+        g2 = rng.standard_normal(k)
+        re = sample_ppp_disc(realization_rng(seed, index), p)
+        assert np.array_equal(re.distances, distances)
+        assert np.array_equal(re.fadings, np.hypot(rp.c + rp.sigma * g1, rp.sigma * g2))
