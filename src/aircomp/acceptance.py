@@ -18,9 +18,8 @@ import numpy as np
 
 from .analytical import (VARIANTS, eta_star_realization, eta_upper_bound,
                          mse_analytic, optimize_eta)
-from .model import (NetworkParams, effective_devices, realization_rng,
-                    sample_ppp_disc, transmit_power)
-from .montecarlo import campbell_check, estimate_mse, frozen_power_objective
+from .model import NetworkParams, sample_ppp_chunks, transmit_power
+from .montecarlo import campbell_check, estimate_mse, realization_mse
 from .numerics import QuadratureSpec, integrate
 from .specfun import (RicianParams, bessel_i0e, marcum_q1,
                       poisson_inverse_moment, rician_pdf)
@@ -268,22 +267,24 @@ def criterion_7() -> CriterionResult:
     params = _fig_params(radius=5.0)  # mean count ~3.9, small realizations
     eta_ref = 5.0
     found = 0
-    index = 0
     failures = []
-    while found < 20 and index < 10_000:
-        re = sample_ppp_disc(realization_rng(SEED, index), params)
-        index += 1
-        if not 1 <= re.count <= 10:
+    realizations = (
+        (d[a:b], h[a:b])
+        for d, h, bounds in sample_ppp_chunks(params, SEED, 0, 10_000, "clamp")
+        for a, b in zip(bounds, bounds[1:]))
+    for index, (d, h) in enumerate(realizations):
+        if not 1 <= d.size <= 10:
             continue
         found += 1
-        eta_star = eta_star_realization(re, eta_ref, params)
-        powers = transmit_power(*effective_devices(re, "clamp"), eta_ref, params)
-        g_star = frozen_power_objective(re, powers, eta_star, params)
-        g_up = frozen_power_objective(re, powers, eta_star * 1.1, params)
-        g_dn = frozen_power_objective(re, powers, eta_star / 1.1, params)
+        eta_star = eta_star_realization(d, h, eta_ref, params)
+        powers = transmit_power(d, h, eta_ref, params)
+        g_star, g_up, g_dn = (realization_mse(d, h, powers, eta, params)
+                              for eta in (eta_star, eta_star * 1.1, eta_star / 1.1))
         if not (g_star <= g_up and g_star <= g_dn):
-            failures.append(f"index {index - 1}: G({eta_star:.4g}) above a "
+            failures.append(f"index {index}: G({eta_star:.4g}) above a "
                             "perturbed point")
+        if found == 20:
+            break
     passed = found == 20 and not failures
     detail = (f"{found} realizations checked" +
               ("" if not failures else "; " + "; ".join(failures)))

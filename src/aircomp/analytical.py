@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import NetworkParams, Realization, effective_devices, transmit_power
+from .model import NetworkParams, transmit_power
 from .numerics import (MinimizeResult, QuadratureSpec, integrate,
                        minimize_unimodal, power_integral)
 from .specfun import marcum_q1, poisson_inverse_moment, rician_pdf
@@ -187,8 +187,8 @@ class EtaBound:
 
     The capped-power moment appears in two mutually reciprocal printed
     readings; the safe bound takes the larger.  rician_mean_printed is the
-    sqrt(pi/2) sigma value the published ratio uses; rician_mean_exact is the
-    quadrature diagnostic.
+    sqrt(pi/2) sigma value the published ratio uses; rician_mean gives the
+    exact E[|h|].
     """
 
     value: float
@@ -196,7 +196,6 @@ class EtaBound:
     capped_moment_appendix: float
     ratio_moment: float
     rician_mean_printed: float
-    rician_mean_exact: float
 
 
 def eta_upper_bound(params: NetworkParams) -> EtaBound:
@@ -223,20 +222,18 @@ def eta_upper_bound(params: NetworkParams) -> EtaBound:
         capped_moment_appendix=capped_appendix,
         ratio_moment=ratio_moment,
         rician_mean_printed=mean_printed,
-        rician_mean_exact=rician_mean(params),
     )
 
 
-def eta_star_realization(re: Realization, eta_ref: float,
+def eta_star_realization(d: np.ndarray, h: np.ndarray, eta_ref: float,
                          params: NetworkParams) -> float:
     """Stationary point of the per-realization objective in eta.
 
     ((sum d^-a P_k h^2 + w^2) / (sum d^-a/2 sqrt(P_k) h))^2, with the
     transmit powers frozen at eta_ref (the power-control branch of each
     device depends on eta; the bound derivation treats powers as given).
-    Devices within 1 m are clamped to 1 m.
+    d and h are the devices left by the inner-disc policy.
     """
-    d, h = effective_devices(re, "clamp")
     if d.size == 0:
         raise ValueError("empty realization")
     p = transmit_power(d, h, eta_ref, params)
@@ -251,7 +248,6 @@ class EtaOptimum:
     eta: float
     mse: float
     variant: str
-    bound: EtaBound
     search_hi: float   # after any safety inflation
     boundary: bool     # minimizer flagged an edge cell
     extended: bool     # search interval was inflated beyond the bound
@@ -264,9 +260,8 @@ def optimize_eta(params: NetworkParams, variant: str = "rederived") -> EtaOptimu
     lands on the upper edge the interval is inflated tenfold (at most three
     times) and the result is flagged.
     """
-    bound = eta_upper_bound(params)
     lo = 1e-6 * params.noise_power
-    hi = bound.value
+    hi = eta_upper_bound(params).value
 
     def objective(eta: float) -> float:
         return mse_analytic(params, eta, variant).total
@@ -280,5 +275,4 @@ def optimize_eta(params: NetworkParams, variant: str = "rederived") -> EtaOptimu
         extended = True
         result = minimize_unimodal(objective, lo, hi, tol=_ETA_TOL)
     return EtaOptimum(eta=result.x_min, mse=result.g_min, variant=variant,
-                      bound=bound, search_hi=hi,
-                      boundary=result.boundary, extended=extended)
+                      search_hi=hi, boundary=result.boundary, extended=extended)

@@ -26,7 +26,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analytical import PAPER_VARIANTS, eta_upper_bound, mse_analytic, optimize_eta
+from .analytical import (PAPER_VARIANTS, eta_upper_bound, mse_analytic,
+                         optimize_eta, rician_mean)
 from .model import MODES, NetworkParams
 from .montecarlo import estimate_mse
 from .numerics import QuadratureError, minimize_unimodal
@@ -38,6 +39,11 @@ CSV_HEADER = ["param_value", "eta_used", "mse_analytic_printed",
 # swept name -> the NetworkParams field it replaces (eta replaces none)
 SWEEP_PARAMETERS = {"lambda": "density", "radius": "radius",
                     "rician_b": "rician_b", "eta": None}
+
+# the keys each config section is read for; any other key is a usage error
+SECTION_KEYS = {"sweep": ("parameter", "from", "to", "steps", "log_scale"),
+                "mc": ("iters", "seed", "mode", "jobs"),
+                "eta_policy": ("optimize", "fixed")}
 
 EXIT_USAGE = 1
 EXIT_NUMERIC = 2
@@ -82,6 +88,13 @@ class RunConfig:
         unknown = set(raw) - set(cls.__dataclass_fields__)
         if unknown:
             raise UsageError(f"unknown config fields: {sorted(unknown)}")
+        for name, keys in SECTION_KEYS.items():
+            section = getattr(cfg, name)
+            if not isinstance(section, dict):
+                raise UsageError(f"{name} must be an object, got {section!r}")
+            unknown = set(section) - set(keys)
+            if unknown:
+                raise UsageError(f"unknown {name} keys: {sorted(unknown)}")
         for key, value in overrides.items():
             if value is None:
                 continue
@@ -224,6 +237,8 @@ def optimal_radius(cfg: RunConfig, r_min: float, r_max: float,
                    ref_radius: float) -> dict:
     if not (1.0 < r_min < r_max):
         raise UsageError("require 1 < r_min < r_max")
+    if not ref_radius > 1.0:
+        raise UsageError(f"require ref_radius > 1, got {ref_radius:g}")
     variants = PAPER_VARIANTS if cfg.variant == "both" else (cfg.variant,)
     report = {"r_min": r_min, "r_max": r_max, "ref_radius": ref_radius,
               "variants": {}}
@@ -263,7 +278,7 @@ def eta_report(cfg: RunConfig, n_points: int = 200) -> dict:
         "capped_moment_appendix": bound.capped_moment_appendix,
         "ratio_moment": bound.ratio_moment,
         "rician_mean_printed": bound.rician_mean_printed,
-        "rician_mean_exact": bound.rician_mean_exact,
+        "rician_mean_exact": rician_mean(params),
         "variants": {},
     }
     variants = PAPER_VARIANTS if cfg.variant == "both" else (cfg.variant,)
@@ -296,7 +311,7 @@ def _write_eta_curve_csv(report: dict, out_dir: Path) -> None:
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to exit code 2
         self.print_usage(sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -304,18 +319,24 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, monte_carlo=False):
+        """The config flags the subcommand reads: config, variant and output
+        always, and the Monte Carlo ones only where it runs the Monte Carlo."""
         p.add_argument("--config", help="JSON config file")
-        p.add_argument("--seed", type=int, help="master seed (default 0)")
-        p.add_argument("--iters", type=int, help="Monte Carlo iterations (default 10000)")
-        p.add_argument("--mode", choices=MODES,
-                       help="inner-disc policy (default clamp)")
+        if monte_carlo:
+            p.add_argument("--seed", type=int, help="master seed (default 0)")
+            p.add_argument("--iters", type=int,
+                           help="Monte Carlo iterations (default 10000)")
+            p.add_argument("--mode", choices=MODES,
+                           help="inner-disc policy (default clamp)")
+            p.add_argument("--jobs", type=int,
+                           help="Monte Carlo worker count (default 1)")
         p.add_argument("--variant", choices=["printed", "rederived", "both"],
                        help="analytic formula variant (default both)")
-        p.add_argument("--jobs", type=int, help="Monte Carlo worker count (default 1)")
         p.add_argument("--out", help="output directory (default out)")
 
-    common(sub.add_parser("sweep", help="sweep a parameter, write results.csv"))
+    common(sub.add_parser("sweep", help="sweep a parameter, write results.csv"),
+           monte_carlo=True)
 
     p_rad = sub.add_parser("optimal-radius", help="find the MSE-optimal access radius")
     common(p_rad)
@@ -329,7 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="eta grid points in the curve CSV")
 
     p_val = sub.add_parser("validate", help="run the acceptance suite")
-    common(p_val)
     p_val.add_argument("--criteria", help="comma-separated criterion numbers (default all)")
     return parser
 

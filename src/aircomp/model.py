@@ -1,14 +1,14 @@
 """Physical-layer scenario model.
 
 Network parameterization, log-distance path loss with a 1 m no-loss inner
-region, capped fractional channel-inversion power control, Rician fading
-sampling, and Poisson point process layout sampling inside the access disc.
+region, capped fractional channel-inversion power control, and Poisson point
+process layouts with Rician fading inside the access disc.
 
-All sampling takes an explicit numpy Generator; per-iteration generators are
-pure functions of (seed, index) so parallel and serial runs agree bit for bit.
-A disc realization is a raw draw from its stream followed by an elementwise
-transform; `sample_ppp_chunks` applies the transform to many realizations'
-draws at once, which gives the same devices as `sample_ppp_disc` one by one.
+`sample_ppp_chunks` is the one layout sampler.  Realization i is drawn from
+its own stream, a pure function of (seed, i), so parallel and serial runs
+agree bit for bit.  A realization is a pair of aligned device arrays
+(distances, fadings), its slice of a chunk, with the inner-disc policy
+already applied.
 """
 
 from __future__ import annotations
@@ -25,11 +25,7 @@ __all__ = [
     "MODES",
     "CHUNK_DEVICES",
     "NetworkParams",
-    "Realization",
-    "effective_devices",
     "transmit_power",
-    "sample_fading",
-    "sample_ppp_disc",
     "sample_ppp_chunks",
     "realization_rng",
 ]
@@ -81,39 +77,17 @@ class NetworkParams:
         return RicianParams.from_b_factor(self.rician_b)
 
 
-@dataclass(frozen=True)
-class Realization:
-    """One sampled layout: device distances and fading magnitudes (aligned)."""
-
-    distances: np.ndarray
-    fadings: np.ndarray
-
-    def __post_init__(self):
-        if self.distances.shape != self.fadings.shape:
-            raise ValueError("distances and fadings must be aligned")
-
-    @property
-    def count(self) -> int:
-        return int(self.distances.size)
-
-
-def _inner_disc_policy(re: Realization, bounds: list[int], mode: str):
+def _inner_disc_policy(d, h, bounds: list[int], mode: str):
     """The inner-disc policy on consecutive realizations, realization j
     owning devices bounds[j] .. bounds[j + 1] - 1: clamp distances to 1 m or
     drop the devices.  Returns the distances, fadings and bounds left."""
     if mode == "clamp":
-        return np.maximum(re.distances, 1.0), re.fadings, bounds
+        return np.maximum(d, 1.0), h, bounds
     if mode == "annulus":
-        keep = re.distances >= 1.0
+        keep = d >= 1.0
         kept = np.concatenate(([0], np.cumsum(keep)))
-        return re.distances[keep], re.fadings[keep], kept[bounds].tolist()
+        return d[keep], h[keep], kept[bounds].tolist()
     raise ValueError(f"unknown mode {mode!r}")
-
-
-def effective_devices(re: Realization, mode: str) -> tuple[np.ndarray, np.ndarray]:
-    """Apply the inner-disc policy: clamp distances to 1 m or drop the devices."""
-    d, h, _ = _inner_disc_policy(re, [0, re.count], mode)
-    return d, h
 
 
 def transmit_power(d, h_mag, eta: float, params: NetworkParams):
@@ -141,55 +115,28 @@ def transmit_power(d, h_mag, eta: float, params: NetworkParams):
     return float(out) if scalar else out
 
 
-def _fading(rp: RicianParams, g1, g2):
-    """|c + sigma (g1 + j g2)|: the LoS phase is fixed to zero, because every
-    downstream quantity reads |h| only."""
-    return np.hypot(rp.c + rp.sigma * g1, rp.sigma * g2)
-
-
-def sample_fading(rng: np.random.Generator, rp: RicianParams, size=None):
-    """Rician fading magnitudes |c + sigma (g1 + j g2)| with g1, g2 ~ N(0, 1)."""
-    g1 = rng.standard_normal(size)
-    return _fading(rp, g1, rng.standard_normal(size))
-
-
-def _draw_disc(rng: np.random.Generator, mean_count: float):
-    """Raw draws of one disc realization, in stream order: K ~ Poisson, then
-    K uniforms for the radii, then K + K standard normals for the fading.
-
-    rng.random(k) is rng.uniform(size=k) bit for bit without uniform's
-    argument handling, and a (2, k) draw is two draws of k in stream order.
-    """
-    k = rng.poisson(mean_count)
-    u = rng.random(k)
-    return u, rng.standard_normal((2, k))
-
-
-def _disc_devices(params: NetworkParams, rp: RicianParams, u, g) -> Realization:
-    """Devices of raw disc draws: radii by CDF inversion r = R sqrt(u), uniform
-    angles (never materialized; only distances matter), Rician fading from
-    the normal pairs (g[0], g[1])."""
-    return Realization(distances=params.radius * np.sqrt(u),
-                       fadings=_fading(rp, g[0], g[1]))
-
-
-def sample_ppp_disc(rng: np.random.Generator, params: NetworkParams) -> Realization:
-    """Draw one PPP realization of devices inside the access disc,
-    K ~ Poisson(lambda pi R^2)."""
-    return _disc_devices(params, params.rician(),
-                         *_draw_disc(rng, params.mean_count))
+def _disc_devices(params: NetworkParams, rp: RicianParams, u, g):
+    """Distances and fading magnitudes of raw disc draws: radii by CDF
+    inversion r = R sqrt(u), uniform angles (never materialized; only
+    distances matter), and |c + sigma (g[0] + j g[1])| for the fading.  The
+    LoS phase is fixed to zero, because every downstream quantity reads |h|
+    only."""
+    return (params.radius * np.sqrt(u),
+            np.hypot(rp.c + rp.sigma * g[0], rp.sigma * g[1]))
 
 
 def sample_ppp_chunks(params: NetworkParams, seed: int, start: int, stop: int,
                       mode: str) -> Iterator[tuple[np.ndarray, np.ndarray, list[int]]]:
     """Realizations start .. stop - 1 of the (seed, i) streams, in chunks.
 
-    Realization i is `sample_ppp_disc(realization_rng(seed, i), params)`
-    with the inner-disc policy `mode` applied.  The raw draws of consecutive
-    realizations are collected until a chunk holds CHUNK_DEVICES devices;
-    the transform and the policy then run once on the whole chunk.  Yields
-    (distances, fadings, bounds): realization j of the chunk owns the
-    devices bounds[j] .. bounds[j + 1] - 1, and an empty one owns none.
+    Realization i draws, from realization_rng(seed, i) and in this order,
+    its device count K ~ Poisson(lambda pi R^2), K uniforms for the radii
+    and K + K standard normals for the fading; then the inner-disc policy
+    `mode` is applied.  The raw draws of consecutive realizations are
+    collected until a chunk holds CHUNK_DEVICES devices; the transform and
+    the policy then run once on the whole chunk.  Yields (distances,
+    fadings, bounds): realization j of the chunk owns the devices
+    bounds[j] .. bounds[j + 1] - 1, and an empty one owns none.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
@@ -203,19 +150,24 @@ def _chunks(params: NetworkParams, seed: int, start: int, stop: int, mode: str):
     while i < stop:
         u, g, bounds = _draw_chunk(seed, i, stop, mean_count)
         i += len(bounds) - 1
-        yield _inner_disc_policy(_disc_devices(params, rp, u, g), bounds, mode)
+        yield _inner_disc_policy(*_disc_devices(params, rp, u, g), bounds, mode)
 
 
 def _draw_chunk(seed: int, start: int, stop: int, mean_count: float):
     """Raw draws of realizations start, start + 1, ... until they hold
     CHUNK_DEVICES devices or reach stop, joined: (u, g, bounds).  The
-    per-realization arrays are freed on return, before the chunk is used."""
+    per-realization arrays are freed on return, before the chunk is used.
+
+    rng.random(k) is rng.uniform(size=k) bit for bit without uniform's
+    argument handling, and a (2, k) draw is two draws of k in stream order.
+    """
     us, gs, bounds = [], [], [0]
     for i in range(start, stop):
-        u, g = _draw_disc(realization_rng(seed, i), mean_count)
-        us.append(u)
-        gs.append(g)
-        bounds.append(bounds[-1] + u.size)
+        rng = realization_rng(seed, i)
+        k = rng.poisson(mean_count)
+        us.append(rng.random(k))
+        gs.append(rng.standard_normal((2, k)))
+        bounds.append(bounds[-1] + k)
         if bounds[-1] >= CHUNK_DEVICES:
             break
     return np.concatenate(us), np.concatenate(gs, axis=1), bounds

@@ -5,13 +5,13 @@ noise, so Monte Carlo variance comes only from the layout, the device count,
 and the fading draws.  Iteration i always uses the random stream derived
 from (seed, i); runs are therefore bit-identical regardless of worker count.
 
-Realizations are processed in chunks (model.sample_ppp_chunks): each one is
-still drawn from its own stream, in the same order, but the transform, the
-inner-disc policy, the transmit powers and the amplitudes run once per
-chunk of about model.CHUNK_DEVICES devices, so their per-call cost is not
-paid per realization.  Each realization's sum stays a reduction over its own
-slice, so every output equals the per-realization computation bit for bit,
-wherever the chunks end.
+Every consumer reads realizations from model.sample_ppp_chunks: each one is
+drawn from its own stream, but the transform, the inner-disc policy, the
+transmit powers and the amplitudes run once per chunk of about
+model.CHUNK_DEVICES devices, so their per-call cost is not paid per
+realization.  Each realization's sum stays a reduction over its own slice,
+so every output equals realization_mse on that slice bit for bit, wherever
+the chunks end.
 """
 
 from __future__ import annotations
@@ -23,8 +23,7 @@ from multiprocessing import Pool
 import numpy as np
 
 from .analytical import rician_mean
-from .model import MODES, NetworkParams, Realization, effective_devices, \
-    sample_ppp_chunks, transmit_power
+from .model import MODES, NetworkParams, sample_ppp_chunks, transmit_power
 from .numerics import power_integral
 
 __all__ = [
@@ -32,7 +31,6 @@ __all__ = [
     "MseEstimate",
     "CampbellReport",
     "realization_mse",
-    "frozen_power_objective",
     "estimate_mse",
     "campbell_check",
 ]
@@ -48,7 +46,6 @@ class MseEstimate:
     std_error: float
     n_total: int
     n_used: int
-    mode: str
 
     def __post_init__(self):
         if self.n_used > self.n_total:
@@ -73,32 +70,17 @@ def _mse(d: np.ndarray, h: np.ndarray, powers: np.ndarray, eta: float,
             for a, b in zip(bounds, bounds[1:]) if b > a]
 
 
-def _single_mse(d: np.ndarray, h: np.ndarray, powers: np.ndarray, eta: float,
-                params: NetworkParams) -> float:
-    """The MSE of one realization; raises EmptyRealizationError if it has no
-    devices."""
+def realization_mse(d: np.ndarray, h: np.ndarray, powers: np.ndarray,
+                    eta: float, params: NetworkParams) -> float:
+    """Conditional MSE of one realization at denoising factor eta, with the
+    devices' transmit powers given (transmit_power at eta, or frozen at
+    another eta).  d and h are the devices left by the inner-disc policy;
+    raises EmptyRealizationError if there are none."""
+    if not eta > 0:
+        raise ValueError("eta must be > 0")
     if d.size == 0:
         raise EmptyRealizationError("realization has no devices")
     return _mse(d, h, powers, eta, params, [0, d.size])[0]
-
-
-def frozen_power_objective(re: Realization, powers: np.ndarray, eta: float,
-                           params: NetworkParams) -> float:
-    """Per-realization objective in eta with the transmit powers held fixed.
-
-    Devices within 1 m are clamped to 1 m.
-    """
-    if not eta > 0:
-        raise ValueError("eta must be > 0")
-    d, h = effective_devices(re, "clamp")
-    return _single_mse(d, h, powers, eta, params)
-
-
-def realization_mse(re: Realization, eta: float, params: NetworkParams,
-                    mode: str = "clamp") -> float:
-    """Conditional MSE of one realization at denoising factor eta."""
-    d, h = effective_devices(re, mode)
-    return _single_mse(d, h, transmit_power(d, h, eta, params), eta, params)
 
 
 def _mc_range(args) -> np.ndarray:
@@ -142,7 +124,7 @@ def estimate_mse(params: NetworkParams, eta: float, n_iter: int, seed: int,
     mean = float(np.mean(samples))
     std_error = float(np.std(samples, ddof=1) / math.sqrt(n_used)) if n_used > 1 else 0.0
     return MseEstimate(mean=mean, std_error=std_error,
-                       n_total=n_iter, n_used=n_used, mode=mode)
+                       n_total=n_iter, n_used=n_used)
 
 
 @dataclass(frozen=True)
@@ -153,7 +135,6 @@ class CampbellReport:
     empirical: tuple[float, ...]
     target: tuple[float, ...]
     z_scores: tuple[float, ...]
-    n_iter: int
 
     def max_abs_z(self) -> float:
         return max(abs(z) for z in self.z_scores)
@@ -191,4 +172,4 @@ def campbell_check(params: NetworkParams, n_iter: int, seed: int) -> CampbellRep
     return CampbellReport(
         names=("count", "received_power", "received_amplitude"),
         empirical=tuple(float(v) for v in emp),
-        target=targets, z_scores=z, n_iter=n_iter)
+        target=targets, z_scores=z)

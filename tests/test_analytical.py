@@ -7,7 +7,7 @@ from scipy import integrate as sp_integrate
 from aircomp.analytical import (VARIANTS, eta_star_realization,
                                 eta_upper_bound, mse_analytic, optimize_eta,
                                 rician_mean)
-from aircomp.model import NetworkParams, Realization, sample_fading
+from aircomp.model import NetworkParams, transmit_power
 from aircomp.montecarlo import realization_mse
 from aircomp.specfun import marcum_q1, poisson_inverse_moment, rician_pdf
 
@@ -138,10 +138,11 @@ class TestMseAnalytic:
         for k in (1, 2, 5, 20):
             values = []
             for _ in range(4000):
-                d = params.radius * np.sqrt(rng.uniform(size=k))
-                h = sample_fading(rng, rp, size=k)
-                re = Realization(distances=d, fadings=h)
-                values.append(realization_mse(re, eta, params))
+                d = np.maximum(params.radius * np.sqrt(rng.uniform(size=k)), 1.0)
+                g1, g2 = rng.standard_normal(k), rng.standard_normal(k)
+                h = np.hypot(rp.c + rp.sigma * g1, rp.sigma * g2)
+                powers = transmit_power(d, h, eta, params)
+                values.append(realization_mse(d, h, powers, eta, params))
             values = np.array(values)
             std_error = values.std(ddof=1) / math.sqrt(values.size)
             want = misalignment + params.noise_power / (eta * k)
@@ -179,16 +180,15 @@ class TestEtaStarRealization:
         # one device at d = 1, h = 1: eta_ref = P_max keeps it on the cap,
         # so eta* = ((P_max + w^2) / sqrt(P_max))^2
         params = make_params()
-        re = Realization(distances=np.array([1.0]), fadings=np.array([1.0]))
-        got = eta_star_realization(re, params.p_max, params)
+        got = eta_star_realization(np.array([1.0]), np.array([1.0]),
+                                   params.p_max, params)
         want = ((params.p_max + params.noise_power) ** 2) / params.p_max
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_empty_rejected(self):
         params = make_params()
-        re = Realization(distances=np.array([]), fadings=np.array([]))
         with pytest.raises(ValueError):
-            eta_star_realization(re, 1.0, params)
+            eta_star_realization(np.array([]), np.array([]), 1.0, params)
 
 
 class TestOptimizeEta:

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from aircomp import cli
 from aircomp.cli import CSV_HEADER, RunConfig, UsageError, main
 
 
@@ -114,9 +115,15 @@ class TestSweepCommand:
         ({"mc": {"jobs": True}}, "mc.jobs"),
         ({"sweep": {"parameter": "lambda", "from": 0.02, "to": 0.05, "steps": 2.9}},
          "sweep.steps"),
+        ({"mc": {"iterations": 50}}, "unknown mc keys: ['iterations']"),
+        ({"sweep": {"parameter": "lambda", "from": 0.02, "to": 0.05, "step": 3}},
+         "unknown sweep keys: ['step']"),
+        ({"eta_policy": {"fix": 10.0}}, "unknown eta_policy keys: ['fix']"),
+        ({"mc": 50}, "mc must be an object"),
     ], ids=["iters-0", "jobs-0", "mode-bogus", "no-from", "no-to", "wavelength",
             "iters-null", "from-text", "fixed-negative", "density-negative",
-            "iters-fraction", "jobs-bool", "steps-fraction"])
+            "iters-fraction", "jobs-bool", "steps-fraction", "mc-typo",
+            "sweep-typo", "eta-policy-typo", "mc-not-object"])
     def test_bad_config_is_usage_error(self, tmp_path, capsys, overrides, message):
         cfg_path = write_config(tmp_path, **overrides)
         assert main(["sweep", "--config", str(cfg_path)]) == 1
@@ -129,6 +136,19 @@ class TestSweepCommand:
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--nonsense"])
         assert exc.value.code == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["validate", "--seed", "5"],
+        ["validate", "--config", "config.json"],
+        ["optimal-radius", "--jobs", "2"],
+        ["eta-report", "--iters", "100"],
+    ], ids=["validate-seed", "validate-config", "radius-jobs", "eta-iters"])
+    def test_flag_the_command_ignores_exits_one(self, capsys, argv):
+        # each subcommand registers only the flags it reads
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
 
 
 class TestEtaReportCommand:
@@ -167,6 +187,17 @@ class TestOptimalRadiusCommand:
         cfg_path = write_config(tmp_path)
         assert main(["optimal-radius", "--config", str(cfg_path),
                      "--r-min", "10", "--r-max", "5"]) == 1
+
+    def test_ref_radius_checked_before_any_work(self, tmp_path, capsys,
+                                                monkeypatch):
+        def no_work(*args, **kw):
+            raise AssertionError("optimize_eta ran before ref_radius was checked")
+
+        monkeypatch.setattr(cli, "optimize_eta", no_work)
+        cfg_path = write_config(tmp_path)
+        assert main(["optimal-radius", "--config", str(cfg_path), "--r-min", "11",
+                     "--r-max", "12", "--ref-radius", "0.5"]) == 1
+        assert "ref_radius" in capsys.readouterr().err
 
 
 class TestValidateCommand:

@@ -54,3 +54,24 @@ def test_runtime_imports_numpy_and_stdlib_only():
                 elif top != "numpy" and top not in sys.stdlib_module_names:
                     found.append(f"{path.name}:{node.lineno} imports {name}")
     assert not found, found
+
+
+# The per-realization stream and the Generator methods that draw from it
+SAMPLING = {"realization_rng", "poisson", "random", "uniform", "standard_normal"}
+
+
+def test_one_sampler():
+    # model.sample_ppp_chunks is the only sampler: no other module builds a
+    # (seed, i) stream or draws from a Generator
+    assert SOURCES
+    found = []
+    for path in SOURCES:
+        if path.name == "model.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                if name in SAMPLING:
+                    found.append(f"{path.name}:{node.lineno} calls {name}")
+    assert not found, found

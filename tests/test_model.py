@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from aircomp.model import (NetworkParams, realization_rng, sample_fading,
-                           sample_ppp_disc, transmit_power)
+from aircomp.model import MODES, NetworkParams, sample_ppp_chunks, transmit_power
 from aircomp.numerics import integrate
-from aircomp.specfun import RicianParams, rician_ccdf
+from aircomp.specfun import rician_ccdf
+from stream_contract import contract_devices
 
 
 def make_params(**kw):
@@ -14,6 +14,27 @@ def make_params(**kw):
                 rician_b=15.0, p_max=1000.0, noise_power=1.0)
     base.update(kw)
     return NetworkParams(**base)
+
+
+def realizations(p, seed, n_iter, mode="clamp"):
+    """(distances, fadings) of realizations 0 .. n_iter - 1, one by one, as
+    slices of the sampler's chunks."""
+    return [(d[a:b], h[a:b])
+            for d, h, bounds in sample_ppp_chunks(p, seed, 0, n_iter, mode)
+            for a, b in zip(bounds, bounds[1:])]
+
+
+def pooled(p, seed, n_iter, mode="clamp"):
+    """Distances and fadings of realizations 0 .. n_iter - 1, pooled."""
+    chunks = list(sample_ppp_chunks(p, seed, 0, n_iter, mode))
+    return (np.concatenate([c[0] for c in chunks]),
+            np.concatenate([c[1] for c in chunks]))
+
+
+def fadings(rician_b, n, seed):
+    """The fading magnitudes of one realization with mean device count n."""
+    p = make_params(density=n / (math.pi * 15.0 ** 2), rician_b=rician_b)
+    return pooled(p, seed, 1)[1]
 
 
 class TestNetworkParams:
@@ -56,17 +77,14 @@ class TestTransmitPower:
 
     def test_never_exceeds_p_max(self):
         p = make_params()
-        rng = np.random.default_rng(3)
-        d = rng.uniform(1.0, p.radius, 1000)
-        h = sample_fading(rng, p.rician(), 1000)
+        d, h = pooled(p, 3, 30)
+        assert d.size > 500
         assert np.all(transmit_power(d, h, 7.0, p) <= p.p_max)
 
     def test_perfect_inversion_when_uncapped(self):
         p = make_params()
         eta = 7.0
-        rng = np.random.default_rng(4)
-        d = rng.uniform(1.0, p.radius, 500)
-        h = sample_fading(rng, p.rician(), 500)
+        d, h = pooled(p, 4, 15)
         power = transmit_power(d, h, eta, p)
         uncapped = power < p.p_max
         received = d ** -p.alpha * power * h ** 2
@@ -80,85 +98,74 @@ class TestTransmitPower:
 
 class TestSampleFading:
     def test_pure_los_limit(self):
-        rp = RicianParams.from_b_factor(1e12)
-        h = sample_fading(np.random.default_rng(0), rp, 100)
+        h = fadings(1e12, 100, 0)
+        assert h.size > 50
         assert np.allclose(h, 1.0, atol=1e-4)
 
     def test_unit_second_moment(self):
-        rp = RicianParams.from_b_factor(15.0)
-        h = sample_fading(np.random.default_rng(1), rp, 10 ** 6)
+        h = fadings(15.0, 10 ** 6, 1)
         m2 = np.mean(h ** 2)
         se = np.std(h ** 2) / math.sqrt(h.size)
         assert abs(m2 - 1.0) <= 3.0 * se
 
     def test_ccdf_matches_marcum(self):
-        rp = RicianParams.from_b_factor(15.0)
-        h = sample_fading(np.random.default_rng(2), rp, 10 ** 6)
+        h = fadings(15.0, 10 ** 6, 2)
         frac = np.mean(h > 1.0)
         se = math.sqrt(frac * (1 - frac) / h.size)
+        rp = make_params(rician_b=15.0).rician()
         assert abs(frac - rician_ccdf(1.0, rp)) <= 3.0 * se
 
 
 class TestSamplePpp:
     def test_poisson_mean(self):
         p = make_params()
-        counts = [sample_ppp_disc(realization_rng(11, i), p).count
-                  for i in range(10_000)]
-        counts = np.array(counts, dtype=float)
+        counts = np.array([d.size for d, _ in realizations(p, 11, 10_000)],
+                          dtype=float)
+        assert counts.size == 10_000
         se = counts.std(ddof=1) / math.sqrt(counts.size)
         assert abs(counts.mean() - p.mean_count) <= 3.0 * se
 
     def test_within_radius(self):
         p = make_params()
-        for i in range(50):
-            re = sample_ppp_disc(realization_rng(12, i), p)
-            if re.count:
-                assert re.distances.max() <= p.radius
+        d, _ = pooled(p, 12, 50)
+        assert d.size and 1.0 <= d.min() and d.max() <= p.radius
 
     def test_campbell_path_loss_sum(self):
         p = make_params()
-        sums = []
-        for i in range(10_000):
-            re = sample_ppp_disc(realization_rng(13, i), p)
-            d = re.distances[re.distances >= 1.0]
-            sums.append(float(np.sum(d ** -p.alpha)))
-        sums = np.array(sums)
+        sums = np.array([float(np.sum(d ** -p.alpha))
+                         for d, _ in realizations(p, 13, 10_000, "annulus")])
         target = 2 * math.pi * p.density * integrate(
             lambda r: np.asarray(r) ** (1.0 - p.alpha), 1.0, p.radius)
         se = sums.std(ddof=1) / math.sqrt(sums.size)
         assert abs(sums.mean() - target) <= 3.0 * se
 
     def test_distance_density(self):
-        # r^2 / R^2 should be Uniform(0, 1); Kolmogorov-Smirnov at the 1% level
+        # the annulus keeps the devices at d >= 1, whose (d^2 - 1) / (R^2 - 1)
+        # should be Uniform(0, 1); Kolmogorov-Smirnov at the 1% level
         p = make_params()
-        pooled = []
-        for i in range(2000):
-            re = sample_ppp_disc(realization_rng(14, i), p)
-            pooled.append(re.distances)
-        u = np.sort(np.concatenate(pooled) ** 2 / p.radius ** 2)
+        d, _ = pooled(p, 14, 2000, "annulus")
+        u = np.sort((d ** 2 - 1.0) / (p.radius ** 2 - 1.0))
         n = u.size
         ks = np.max(np.abs(u - (np.arange(1, n + 1) - 0.5) / n)) + 0.5 / n
         assert ks <= 1.63 / math.sqrt(n)
 
     def test_deterministic_given_seed_index(self):
         p = make_params()
-        a = sample_ppp_disc(realization_rng(99, 5), p)
-        b = sample_ppp_disc(realization_rng(99, 5), p)
-        assert np.array_equal(a.distances, b.distances)
-        assert np.array_equal(a.fadings, b.fadings)
+        a = list(sample_ppp_chunks(p, 99, 5, 6, "clamp"))
+        b = list(sample_ppp_chunks(p, 99, 5, 6, "clamp"))
+        assert len(a) == len(b) == 1
+        assert np.array_equal(a[0][0], b[0][0])
+        assert np.array_equal(a[0][1], b[0][1])
+        assert a[0][2] == b[0][2]
 
     @pytest.mark.parametrize("seed, index", [(0, 0), (7, 3), (2 ** 40, 2 ** 33)])
     def test_stream_contract(self, seed, index):
-        # realization i is these draws, in this order, from the stream numpy
-        # derives from SeedSequence(seed, spawn_key=(i,))
+        # realization i is the draws stream_contract writes out with numpy's
+        # public API, from the stream of SeedSequence(seed, spawn_key=(i,))
         p = make_params()
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
-        k = rng.poisson(p.mean_count)
-        distances = p.radius * np.sqrt(rng.uniform(size=k))
-        rp = p.rician()
-        g1 = rng.standard_normal(k)
-        g2 = rng.standard_normal(k)
-        re = sample_ppp_disc(realization_rng(seed, index), p)
-        assert np.array_equal(re.distances, distances)
-        assert np.array_equal(re.fadings, np.hypot(rp.c + rp.sigma * g1, rp.sigma * g2))
+        for mode in MODES:
+            [(d, h, bounds)] = sample_ppp_chunks(p, seed, index, index + 1, mode)
+            want_d, want_h = contract_devices(p, seed, index, mode)
+            assert bounds == [0, want_d.size]
+            assert np.array_equal(d, want_d)
+            assert np.array_equal(h, want_h)

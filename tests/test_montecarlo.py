@@ -6,12 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aircomp import model
-from aircomp.model import (NetworkParams, Realization, effective_devices,
-                           realization_rng, sample_ppp_chunks, sample_ppp_disc,
-                           transmit_power)
+from aircomp.model import NetworkParams, sample_ppp_chunks, transmit_power
 from aircomp.montecarlo import (EmptyRealizationError, campbell_check,
-                                estimate_mse, frozen_power_objective,
-                                realization_mse)
+                                estimate_mse, realization_mse)
+from stream_contract import contract_devices, inner_disc_policy
 
 
 def make_params(**kw):
@@ -22,8 +20,12 @@ def make_params(**kw):
 
 
 def single_device(d, h):
-    return Realization(distances=np.array([float(d)]),
-                       fadings=np.array([float(h)]))
+    return np.array([float(d)]), np.array([float(h)])
+
+
+def mse(d, h, eta, params):
+    """realization_mse with the transmit powers at eta."""
+    return realization_mse(d, h, transmit_power(d, h, eta, params), eta, params)
 
 
 class TestRealizationMse:
@@ -32,41 +34,44 @@ class TestRealizationMse:
         # device transmits at P_max and the misalignment is (1/2 - 1)^2
         params = make_params(alpha=2.0)
         eta = params.p_max
-        got = realization_mse(single_device(2.0, 1.0), eta, params)
+        got = mse(*single_device(2.0, 1.0), eta, params)
         assert got == pytest.approx(0.25 + params.noise_power / eta, rel=1e-12)
 
     def test_uncapped_single_device(self):
         # inverted power aligns perfectly; only the noise term remains
         params = make_params()
-        got = realization_mse(single_device(2.0, 1.0), 4.0, params)
+        got = mse(*single_device(2.0, 1.0), 4.0, params)
         assert got == pytest.approx(params.noise_power / 4.0, rel=1e-12)
 
     def test_clamp_vs_annulus_inner_device(self):
         params = make_params()
-        re = Realization(distances=np.array([0.5, 2.0]),
-                         fadings=np.array([1.0, 1.0]))
-        clamp = realization_mse(re, 4.0, params, mode="clamp")
-        annulus = realization_mse(re, 4.0, params, mode="annulus")
+        d, h = np.array([0.5, 2.0]), np.array([1.0, 1.0])
+        clamp = mse(*inner_disc_policy(d, h, "clamp"), 4.0, params)
+        annulus = mse(*inner_disc_policy(d, h, "annulus"), 4.0, params)
         # clamp treats the inner device as if at 1 m; annulus drops it
         assert clamp == pytest.approx(params.noise_power / 4.0 / 2.0, rel=1e-12)
         assert annulus == pytest.approx(params.noise_power / 4.0, rel=1e-12)
 
     def test_empty_raises(self):
         params = make_params()
-        re = Realization(distances=np.array([0.5]), fadings=np.array([1.0]))
+        d, h = inner_disc_policy(np.array([0.5]), np.array([1.0]), "annulus")
         with pytest.raises(EmptyRealizationError):
-            realization_mse(re, 4.0, params, mode="annulus")
+            realization_mse(d, h, np.array([]), 4.0, params)
 
     def test_matches_frozen_objective(self):
+        # powers frozen at eta_ref, objective evaluated at another eta
         params = make_params()
         rng = np.random.default_rng(0)
-        re = Realization(distances=rng.uniform(1.0, 10.0, 8),
-                         fadings=rng.rayleigh(0.7, 8))
-        eta = 6.0
-        powers = transmit_power(re.distances, re.fadings, eta, params)
-        assert realization_mse(re, eta, params) == pytest.approx(
-            frozen_power_objective(re, powers, eta, params), rel=1e-14)
-
+        d, h = rng.uniform(1.0, 10.0, 8), rng.rayleigh(0.7, 8)
+        eta_ref, eta = 6.0, 9.0
+        powers = transmit_power(d, h, eta_ref, params)
+        amp = d ** (-0.5 * params.alpha) * np.sqrt(powers) * h / math.sqrt(eta)
+        want = (np.sum((amp - 1.0) ** 2) + params.noise_power / eta) / d.size
+        assert realization_mse(d, h, powers, eta, params) == pytest.approx(
+            want, rel=1e-14)
+        assert realization_mse(d, h, powers, eta, params) != mse(d, h, eta, params)
+        with pytest.raises(ValueError):
+            realization_mse(d, h, powers, 0.0, params)
 
     def test_long_realization_is_the_plain_formula(self):
         # with 1000 devices the sum must round as np.sum does; a sequential
@@ -78,17 +83,18 @@ class TestRealizationMse:
         powers = transmit_power(d, h, eta, params)
         amp = d ** (-0.5 * params.alpha) * np.sqrt(powers) * h / math.sqrt(eta)
         want = (float(np.sum((amp - 1.0) ** 2)) + params.noise_power / eta) / d.size
-        got = realization_mse(Realization(distances=d, fadings=h), eta, params)
+        got = mse(d, h, eta, params)
         assert got == want
 
 
 def nonempty_realization_mses(params, eta, n_iter, seed, mode):
-    """realization_mse of each non-empty (seed, i) realization, one by one."""
+    """realization_mse of each non-empty (seed, i) realization, one by one,
+    each drawn from the stream contract."""
     values = []
     for i in range(n_iter):
-        re = sample_ppp_disc(realization_rng(seed, i), params)
-        if effective_devices(re, mode)[0].size:
-            values.append(realization_mse(re, eta, params, mode))
+        d, h = contract_devices(params, seed, i, mode)
+        if d.size:
+            values.append(mse(d, h, eta, params))
     return values
 
 
@@ -197,9 +203,11 @@ class TestChunkBoundaries:
                for a, b in zip(bounds, bounds[1:])]
         assert len(got) == 190
         for i, (d, h) in enumerate(got, start=10):
-            want_d, want_h = effective_devices(
-                sample_ppp_disc(realization_rng(4, i), params), mode)
+            want_d, want_h = contract_devices(params, 4, i, mode)
             assert np.array_equal(d, want_d) and np.array_equal(h, want_h)
+        # the policy acts here: some of these devices lie within 1 m
+        assert any(np.any(contract_devices(params, 4, i, "clamp")[0] == 1.0)
+                   for i in range(10, 200))
 
     @pytest.mark.parametrize("chunk", [None, 7])
     def test_campbell_check(self, monkeypatch, chunk):
@@ -210,8 +218,7 @@ class TestChunkBoundaries:
         # the per-realization loop campbell_check replaced
         sums = np.zeros((n_iter, 3))
         for i in range(n_iter):
-            d, h = effective_devices(
-                sample_ppp_disc(realization_rng(seed, i), params), "annulus")
+            d, h = contract_devices(params, seed, i, "annulus")
             sums[i] = (d.size,
                        float(np.sum(d ** -params.alpha * h ** 2)),
                        float(np.sum(d ** (-0.5 * params.alpha) * h)))
