@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .analytical import (VARIANTS, eta_star_realization, eta_upper_bound,
-                         mse_analytic, optimize_eta)
+                         mse_analytic, optimize_eta, radius_curve)
 from .model import NetworkParams, sample_ppp_chunks, transmit_power
 from .montecarlo import campbell_check, estimate_mse, realization_mse
 from .numerics import QuadratureSpec, integrate
@@ -191,10 +191,7 @@ def criterion_5() -> CriterionResult:
     passed = True
     for b_factor in (10.0, 15.0, 20.0):
         radii = np.arange(5.0, 40.0 + 1e-9, 1.0)
-        mses = np.array([
-            optimize_eta(_fig_params(radius=float(r), rician_b=b_factor),
-                         "rederived").mse
-            for r in radii])
+        mses = radius_curve(_fig_params(rician_b=b_factor), radii, "rederived")
         i = int(np.argmin(mses))
         interior = 0 < i < radii.size - 1
         reduction = 1.0 - mses[i] / mses[0]

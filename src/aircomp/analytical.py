@@ -22,7 +22,7 @@ which variant matched.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -41,6 +41,7 @@ __all__ = [
     "eta_upper_bound",
     "eta_star_realization",
     "optimize_eta",
+    "radius_curve",
     "rician_mean",
 ]
 
@@ -276,3 +277,9 @@ def optimize_eta(params: NetworkParams, variant: str = "rederived") -> EtaOptimu
         result = minimize_unimodal(objective, lo, hi, tol=_ETA_TOL)
     return EtaOptimum(eta=result.x_min, mse=result.g_min, variant=variant,
                       search_hi=hi, boundary=result.boundary, extended=extended)
+
+
+def radius_curve(params: NetworkParams, radii, variant: str) -> np.ndarray:
+    """The eta-optimized MSE at each access radius, params' radius replaced."""
+    return np.array([optimize_eta(replace(params, radius=float(r)), variant).mse
+                     for r in radii])

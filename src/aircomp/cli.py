@@ -2,7 +2,7 @@
 
 Subcommands:
   sweep           MSE vs a swept parameter (analytic both variants + Monte Carlo)
-  optimal-radius  coarse grid + golden refinement of the access radius
+  optimal-radius  1 m grid of the access radius, golden refinement around its argmin
   eta-report      search-bound components and the MSE-vs-eta curve
   validate        run the full acceptance suite
 
@@ -27,10 +27,10 @@ import numpy as np
 
 from . import __version__
 from .analytical import (PAPER_VARIANTS, eta_upper_bound, mse_analytic,
-                         optimize_eta, rician_mean)
+                         optimize_eta, radius_curve, rician_mean)
 from .model import MODES, NetworkParams
 from .montecarlo import estimate_mse
-from .numerics import QuadratureError, minimize_unimodal
+from .numerics import QuadratureError, refine_bracket
 
 CSV_HEADER = ["param_value", "eta_used", "mse_analytic_printed",
               "mse_analytic_rederived", "mse_mc_mean", "mse_mc_stderr",
@@ -235,32 +235,29 @@ def write_sweep_csv(rows: list[dict], out_dir: Path) -> Path:
 
 def optimal_radius(cfg: RunConfig, r_min: float, r_max: float,
                    ref_radius: float) -> dict:
-    if not (1.0 < r_min < r_max):
-        raise UsageError("require 1 < r_min < r_max")
+    if not (1.0 < r_min and r_max >= r_min + 1.0):
+        raise UsageError("require 1 < --r-min and --r-max >= --r-min + 1 (a 1 m grid)")
     if not ref_radius > 1.0:
         raise UsageError(f"require ref_radius > 1, got {ref_radius:g}")
     variants = PAPER_VARIANTS if cfg.variant == "both" else (cfg.variant,)
     report = {"r_min": r_min, "r_max": r_max, "ref_radius": ref_radius,
               "variants": {}}
+    params = cfg.network_params(radius=r_min)  # radius_curve sets each radius
+    grid = np.arange(r_min, r_max + 1e-9, 1.0)
     for variant in variants:
         def mse_at(radius: float) -> float:
-            params = cfg.network_params(radius=float(radius))
-            return optimize_eta(params, variant).mse
+            return float(radius_curve(params, [radius], variant)[0])
 
-        grid = np.arange(r_min, r_max + 1e-9, 1.0)
-        grid_mse = np.array([mse_at(r) for r in grid])
-        i = int(np.argmin(grid_mse))
-        lo = float(grid[max(i - 1, 0)])
-        hi = float(grid[min(i + 1, grid.size - 1)])
-        refined = minimize_unimodal(mse_at, lo, hi, tol=1e-4)
+        grid_mse = radius_curve(params, grid, variant)
+        refined = refine_bracket(mse_at, grid, grid_mse, tol=1e-4)
         mse_ref = mse_at(ref_radius)
         report["variants"][variant] = {
             "r_opt": refined.x_min,
             "mse_opt": refined.g_min,
             "mse_ref": mse_ref,
             "reduction": 1.0 - refined.g_min / mse_ref,
-            "interior": 0 < i < grid.size - 1,
-            "boundary_flag": i == 0 or i == grid.size - 1,
+            "interior": not refined.boundary,
+            "boundary_flag": refined.boundary,
             "grid_radii": [float(r) for r in grid],
             "grid_mse": [float(m) for m in grid_mse],
         }
@@ -308,6 +305,13 @@ def _write_eta_curve_csv(report: dict, out_dir: Path) -> None:
             writer.writerow([_fmt(point[c]) for c in cols])
 
 
+def _criteria(text: str) -> list[int]:
+    """--criteria: comma-separated criterion numbers, each 1 to 8."""
+    if not all(tok.strip() in list("12345678") for tok in text.split(",")):
+        raise argparse.ArgumentTypeError(f"want comma-separated numbers 1-8, got {text!r}")
+    return [int(tok) for tok in text.split(",")]
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to exit code 2
         self.print_usage(sys.stderr)
@@ -350,7 +354,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="eta grid points in the curve CSV")
 
     p_val = sub.add_parser("validate", help="run the acceptance suite")
-    p_val.add_argument("--criteria", help="comma-separated criterion numbers (default all)")
+    p_val.add_argument("--criteria", type=_criteria,
+                       help="comma-separated criterion numbers 1-8 (default all)")
     return parser
 
 
@@ -407,10 +412,7 @@ def main(argv: list[str] | None = None) -> int:
             return 0
         if args.command == "validate":
             from .acceptance import run_acceptance
-            numbers = None
-            if args.criteria:
-                numbers = [int(tok) for tok in args.criteria.split(",")]
-            results = run_acceptance(numbers)
+            results = run_acceptance(args.criteria)
             ok = all(r.passed for r in results)
             return 0 if ok else EXIT_ACCEPTANCE
     except UsageError as exc:

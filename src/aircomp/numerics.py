@@ -4,9 +4,9 @@ integral, and bounded scalar minimization.
 The quadrature is a globally adaptive Gauss-Kronrod (G7, K15) scheme with the
 embedded 7-point Gauss rule providing the per-panel error estimate; each
 bisection evaluates both halves in one call of the integrand.  The
-minimizer is a golden-section search on a logarithmic axis, preceded by a
-coarse log-spaced grid scan that selects the bracketing cell (and guards
-against mild non-unimodality).
+minimizer is one scan-then-refine search, `refine_bracket`: golden section
+in ln x between the neighbours of a grid scan's argmin.  `minimize_unimodal`
+scans 64 log-spaced points for it; the access-radius search scans a 1 m grid.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ __all__ = [
     "integrate",
     "minimize_unimodal",
     "power_integral",
+    "refine_bracket",
 ]
 
 
@@ -166,38 +167,40 @@ def power_integral(lo, hi, p: float):
 
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-_GRID_POINTS = 64  # log-spaced points of the minimizer's pre-scan
+_GRID_POINTS = 64  # log-spaced scan points of minimize_unimodal
 
 
 @dataclass(frozen=True)
 class MinimizeResult:
     x_min: float
     g_min: float
-    boundary: bool  # True when the grid pre-scan minimum sat on an edge cell
+    boundary: bool  # True when the grid argmin sat at an end of the grid
     edge: str | None = None  # "low" or "high" when boundary is True
 
 
 def minimize_unimodal(g, lo: float, hi: float, tol: float = 1e-6) -> MinimizeResult:
-    """Minimize g over [lo, hi] via log-axis grid pre-scan + golden section.
-
-    The pre-scan (64 log-spaced points, ties broken toward the lowest
-    argument) selects the bracketing cell; golden-section search then runs in
-    log-argument space until the bracket's relative width falls below tol.
-    The returned point is never worse than the best grid point.
-    """
+    """Minimize g over [lo, hi]: a 64-point log-spaced scan, then refine_bracket."""
     if not (0 < lo < hi):
         raise ValueError(f"require 0 < lo < hi, got lo={lo!r}, hi={hi!r}")
-
     xs = np.exp(np.linspace(math.log(lo), math.log(hi), _GRID_POINTS))
-    gs = np.array([float(g(x)) for x in xs])
-    if not np.all(np.isfinite(gs)):
-        raise ValueError("objective returned a non-finite value during pre-scan")
-    best = int(np.argmin(gs))  # argmin takes the first (lowest-argument) tie
+    return refine_bracket(g, xs, np.array([float(g(x)) for x in xs]), tol)
 
-    boundary = best == 0 or best == _GRID_POINTS - 1
-    edge = "low" if best == 0 else "high" if best == _GRID_POINTS - 1 else None
+
+def refine_bracket(g, xs, gs, tol: float) -> MinimizeResult:
+    """Golden section in ln x around the argmin of a scan gs = g(xs).
+
+    xs is increasing and positive, in any spacing, with at least two points.
+    The argmin (first on ties) and its two neighbours form the bracket, which
+    is narrowed below tol in ln x.  The result is never worse than the best
+    grid point; boundary/edge say whether that point is an end of the grid.
+    """
+    if not np.all(np.isfinite(gs)):
+        raise ValueError("objective returned a non-finite value on the grid")
+    best = int(np.argmin(gs))  # argmin takes the first (lowest-argument) tie
+    last = len(gs) - 1
+    edge = "low" if best == 0 else "high" if best == last else None
     la = math.log(xs[max(best - 1, 0)])
-    lb = math.log(xs[min(best + 1, _GRID_POINTS - 1)])
+    lb = math.log(xs[min(best + 1, last)])
 
     # golden-section on t = log(x)
     h = lb - la
@@ -221,7 +224,7 @@ def minimize_unimodal(g, lo: float, hi: float, tol: float = 1e-6) -> MinimizeRes
         x_min, g_min = math.exp(c), gc
     else:
         x_min, g_min = math.exp(d), gd
-    # never return a point worse than the best pre-scan grid point
+    # never return a point worse than the best grid point
     if gs[best] < g_min:
         x_min, g_min = float(xs[best]), float(gs[best])
-    return MinimizeResult(x_min=x_min, g_min=g_min, boundary=boundary, edge=edge)
+    return MinimizeResult(x_min=x_min, g_min=g_min, boundary=edge is not None, edge=edge)

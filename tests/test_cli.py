@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from aircomp import cli
+from aircomp import analytical, cli
 from aircomp.cli import CSV_HEADER, RunConfig, UsageError, main
 
 
@@ -170,6 +170,22 @@ class TestEtaReportCommand:
         assert "--points" in capsys.readouterr().err
 
 
+def patch_optimize_eta(monkeypatch, replacement):
+    """Replace optimize_eta under both names: analytical's, which the radius
+    search calls through radius_curve, and the CLI's own import of it."""
+    monkeypatch.setattr(analytical, "optimize_eta", replacement)
+    monkeypatch.setattr(cli, "optimize_eta", replacement)
+
+
+@pytest.fixture
+def no_work(monkeypatch):
+    """Make the radius search fail if it evaluates anything."""
+    def fail(*args, **kw):
+        raise AssertionError("optimize_eta ran before the arguments were checked")
+
+    patch_optimize_eta(monkeypatch, fail)
+
+
 class TestOptimalRadiusCommand:
     def test_narrow_bracket(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, variant="rederived")
@@ -183,17 +199,32 @@ class TestOptimalRadiusCommand:
         assert res["mse_opt"] <= res["mse_ref"]
         assert "R_opt" in capsys.readouterr().out
 
-    def test_invalid_bracket_is_usage_error(self, tmp_path):
-        cfg_path = write_config(tmp_path)
+    def test_optimize_eta_calls(self, tmp_path, monkeypatch):
+        # 5 grid radii, the golden section inside the grid argmin's bracket
+        # (no second scan of it) and the reference radius
+        calls = []
+        optimize_eta = analytical.optimize_eta
+
+        def counted(*args, **kw):
+            calls.append(args)
+            return optimize_eta(*args, **kw)
+
+        patch_optimize_eta(monkeypatch, counted)
+        cfg_path = write_config(tmp_path, variant="rederived")
         assert main(["optimal-radius", "--config", str(cfg_path),
-                     "--r-min", "10", "--r-max", "5"]) == 1
+                     "--r-min", "11", "--r-max", "15", "--ref-radius", "5"]) == 0
+        assert len(calls) <= 5 + 20 + 1
 
-    def test_ref_radius_checked_before_any_work(self, tmp_path, capsys,
-                                                monkeypatch):
-        def no_work(*args, **kw):
-            raise AssertionError("optimize_eta ran before ref_radius was checked")
+    def test_invalid_bracket_is_usage_error(self, tmp_path, capsys, no_work):
+        cfg_path = write_config(tmp_path)
+        # reversed, and under 1 m wide: a grid of one radius
+        for r_min, r_max in (("10", "5"), ("11", "11.5")):
+            assert main(["optimal-radius", "--config", str(cfg_path),
+                         "--r-min", r_min, "--r-max", r_max]) == 1
+            err = capsys.readouterr().err
+            assert "--r-min" in err and "--r-max" in err
 
-        monkeypatch.setattr(cli, "optimize_eta", no_work)
+    def test_ref_radius_checked_before_any_work(self, tmp_path, capsys, no_work):
         cfg_path = write_config(tmp_path)
         assert main(["optimal-radius", "--config", str(cfg_path), "--r-min", "11",
                      "--r-max", "12", "--ref-radius", "0.5"]) == 1
@@ -205,3 +236,10 @@ class TestValidateCommand:
         code = main(["validate", "--criteria", "1"])
         assert code == 0
         assert "[PASS] criterion 1" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("criteria", ["x", "9"], ids=["not-a-number", "unknown"])
+    def test_bad_criteria_exit_one(self, capsys, criteria):
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", "--criteria", criteria])
+        assert exc.value.code == 1
+        assert "numbers 1-8" in capsys.readouterr().err

@@ -6,7 +6,7 @@ import pytest
 
 from aircomp import numerics
 from aircomp.numerics import (QuadratureError, QuadratureSpec, integrate,
-                              minimize_unimodal)
+                              minimize_unimodal, refine_bracket)
 
 
 def two_call_integrate_oracle(f, a, b, spec):
@@ -163,3 +163,58 @@ class TestMinimizeUnimodal:
         vals = [g(e) for e in grid]
         j = int(np.argmin(vals))
         assert res.x_min == pytest.approx(grid[j], rel=0.01)
+
+
+class TestRefineBracket:
+    """The refinement on a caller's grid, here linear rather than log-spaced."""
+
+    XS = np.arange(2.0, 12.0)  # 2, 3, ..., 11
+
+    def refine(self, g, xs=XS, tol=1e-8):
+        return refine_bracket(g, xs, np.array([g(x) for x in xs]), tol)
+
+    def test_interior_minimum(self):
+        res = self.refine(lambda x: (x - 6.3) ** 2)
+        assert res.x_min == pytest.approx(6.3, rel=1e-6)
+        assert not res.boundary and res.edge is None
+
+    def test_boundary_flagged_at_either_end(self):
+        res = self.refine(lambda x: x)
+        assert res.boundary and res.edge == "low" and res.x_min == 2.0
+        res = self.refine(lambda x: -x)
+        assert res.boundary and res.edge == "high" and res.x_min == 11.0
+
+    def test_never_worse_than_grid(self):
+        # the wiggles put several local minima inside the argmin's bracket
+        def g(x):
+            return math.sin(9.0 * x) + 0.01 * (x - 7.0) ** 2
+
+        res = self.refine(g, tol=1e-6)
+        assert res.g_min <= min(g(x) for x in self.XS)
+        assert res.g_min == g(res.x_min)
+
+    def test_two_point_grid(self):
+        res = self.refine(lambda x: (x - 2.4) ** 2, xs=np.array([2.0, 3.0]))
+        assert res.boundary and res.edge == "low"
+        assert res.x_min == pytest.approx(2.4, rel=1e-6)
+        res = self.refine(lambda x: (x - 2.8) ** 2, xs=np.array([2.0, 3.0]))
+        assert res.boundary and res.edge == "high"
+        assert res.x_min == pytest.approx(2.8, rel=1e-6)
+
+    def test_stops_at_tolerance_in_log_x(self):
+        # the 10 grid points, then the bracket [5, 7] narrowed in ln x by the
+        # golden ratio per evaluation
+        calls = []
+
+        def g(x):
+            calls.append(x)
+            return (x - 6.3) ** 2
+
+        self.refine(g, tol=1e-4)
+        steps = math.ceil(math.log(math.log(7.0 / 5.0) / 1e-4)
+                          / math.log((1.0 + math.sqrt(5.0)) / 2.0))
+        assert len(calls) == self.XS.size + 2 + steps
+
+    def test_non_finite_grid_rejected(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            refine_bracket(lambda x: x, self.XS, np.full(self.XS.size, np.nan), 1e-6)
