@@ -2,7 +2,8 @@
 
 The suite is what `aircomp validate` runs.  Criterion 3 adjudicates the
 analytical-formula variants against the Monte Carlo estimator over the
-device-density grid; criteria 4-6 reuse or extend that machinery.
+device-density grid, which is `aircomp sweep`'s own `run_sweep` on the Fig-2
+configuration; criterion 4 reads the same grid.
 """
 
 from __future__ import annotations
@@ -11,15 +12,16 @@ import json
 import math
 import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .analytical import (VARIANTS, eta_star_realization, eta_upper_bound,
                          mse_analytic, optimize_eta, radius_curve)
+from .cli import RunConfig, main, run_sweep
 from .model import NetworkParams, sample_ppp_chunks, transmit_power
-from .montecarlo import campbell_check, estimate_mse, realization_mse
+from .montecarlo import campbell_check, realization_mse
 from .numerics import QuadratureSpec, integrate
 from .specfun import (RicianParams, bessel_i0e, marcum_q1,
                       poisson_inverse_moment, rician_pdf)
@@ -32,7 +34,7 @@ FIG_ALPHA = 2.1
 FIG_DENSITY = 0.05
 FIG_B = 15.0
 FIG_SNR_P_MAX = 1000.0  # SNR = 30 dB with noise power 1
-FIG2_LAMBDAS = tuple(np.linspace(0.01, 0.1, 10))
+FIG2_SWEEP = {"parameter": "lambda", "from": 0.01, "to": 0.1, "steps": 10}
 FIG2_RADII = (10.0, 40.0)
 FIG3_RADIUS = 15.0
 
@@ -116,29 +118,23 @@ def criterion_2() -> CriterionResult:
 # --- criteria 3-4: Fig-2 grid -------------------------------------------------
 
 def compute_fig2_grid() -> list[dict]:
-    """Per-point eta optimization, every analytic variant, and Monte Carlo."""
-    grid = []
-    for radius in FIG2_RADII:
-        for lam in FIG2_LAMBDAS:
-            params = _fig_params(density=float(lam), radius=radius)
-            opt = optimize_eta(params, "rederived")
-            analytic = {v: mse_analytic(params, opt.eta, v).total for v in VARIANTS}
-            est = estimate_mse(params, opt.eta, N_ITER, SEED)
-            z = {v: (analytic[v] - est.mean) / est.std_error for v in VARIANTS}
-            grid.append({"radius": radius, "density": float(lam), "eta": opt.eta,
-                         "analytic": analytic, "mc_mean": est.mean,
-                         "mc_stderr": est.std_error, "z": z})
-    return grid
+    """The sweep's rows (eta optimized on rederived) per radius, tagged with it."""
+    configs = {radius: RunConfig(network=asdict(_fig_params(radius=radius)),
+                                 sweep=FIG2_SWEEP, mc={"iters": N_ITER, "seed": SEED},
+                                 variant="rederived") for radius in FIG2_RADII}
+    return [{"radius": r, **row} for r, cfg in configs.items() for row in run_sweep(cfg)]
 
 
 def criterion_3(grid: list[dict]) -> CriterionResult:
     matches = []
     lines = []
     for pt in grid:
-        matching = [v for v in VARIANTS if abs(pt["z"][v]) <= 3.0]
+        z = {v: (pt[f"mse_analytic_{v}"] - pt["mse_mc_mean"]) / pt["mse_mc_stderr"]
+             for v in VARIANTS}
+        matching = [v for v in VARIANTS if abs(z[v]) <= 3.0]
         matches.append(matching)
-        z_text = " ".join(f"z_{v}={pt['z'][v]:+.2f}" for v in VARIANTS)
-        lines.append(f"R={pt['radius']:.0f} lam={pt['density']:.2f} "
+        z_text = " ".join(f"z_{v}={z[v]:+.2f}" for v in VARIANTS)
+        lines.append(f"R={pt['radius']:.0f} lam={pt['param_value']:.2f} "
                      f"{z_text} match={matching or ['none']}")
     all_matched = all(m for m in matches)
     counts = {v: sum(v in m for m in matches) for v in VARIANTS}
@@ -171,8 +167,8 @@ def criterion_4(grid: list[dict]) -> CriterionResult:
     passed = True
     for radius in FIG2_RADII:
         pts = [p for p in grid if p["radius"] == radius]
-        means = np.array([p["mc_mean"] for p in pts])
-        errs = np.array([p["mc_stderr"] for p in pts])
+        means = np.array([p["mse_mc_mean"] for p in pts])
+        errs = np.array([p["mse_mc_stderr"] for p in pts])
         strict = bool(np.all(np.diff(means) < 0))
         fit = _isotonic_decreasing(means)
         dev = float(np.max(np.abs(fit - means) / errs))
@@ -291,8 +287,6 @@ def criterion_7() -> CriterionResult:
 # --- criterion 8: determinism ---------------------------------------------------
 
 def criterion_8() -> CriterionResult:
-    from .cli import main as cli_main
-
     config = {
         "network": {"density": 0.05, "radius": 10.0, "alpha": 2.1,
                     "rician_b": 15.0, "snr_db": 30.0},
@@ -306,8 +300,7 @@ def criterion_8() -> CriterionResult:
         for run, jobs in (("a", 1), ("b", 1), ("c", 4)):
             cfg = dict(config, output_dir=str(Path(tmp) / run))
             cfg_path.write_text(json.dumps(cfg))
-            code = cli_main(["sweep", "--config", str(cfg_path),
-                             "--jobs", str(jobs)])
+            code = main(["sweep", "--config", str(cfg_path), "--jobs", str(jobs)])
             if code != 0:
                 return CriterionResult(8, "determinism", False,
                                        f"sweep exited with code {code}")

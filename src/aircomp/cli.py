@@ -1,15 +1,18 @@
 """Experiment runner: parameter sweeps, radius optimization, eta reports.
 
 Subcommands:
-  sweep           MSE vs a swept parameter (analytic both variants + Monte Carlo)
+  sweep           MSE vs a swept parameter (analytic variants + Monte Carlo)
   optimal-radius  1 m grid of the access radius, golden refinement around its argmin
   eta-report      search-bound components and the MSE-vs-eta curve
   validate        run the full acceptance suite
 
 Configuration is a single JSON document; command-line flags override config
 fields.  The CLI reports the paper's two formula variants ("printed" and
-"rederived"); "both" means those two.  Exit codes: 0 success, 1 usage error,
-2 numeric failure, 3 acceptance failure (validate only).
+"rederived"); "both" means those two.  `run_sweep` is the one analytic-vs-
+Monte-Carlo sweep: it evaluates every analytic variant, and the acceptance
+suite runs it on the Fig-2 configuration for criteria 3 and 4.  Exit codes:
+0 success, 1 usage error, 2 numeric failure, 3 acceptance failure (validate
+only).
 """
 
 from __future__ import annotations
@@ -26,8 +29,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analytical import (PAPER_VARIANTS, eta_upper_bound, mse_analytic,
-                         optimize_eta, radius_curve, rician_mean)
+from .analytical import (PAPER_VARIANTS, VARIANTS, eta_upper_bound,
+                         mse_analytic, optimize_eta, radius_curve, rician_mean)
 from .model import MODES, NetworkParams
 from .montecarlo import estimate_mse
 from .numerics import QuadratureError, refine_bracket
@@ -43,7 +46,7 @@ SWEEP_PARAMETERS = {"lambda": "density", "radius": "radius",
 # the keys each config section is read for; any other key is a usage error
 SECTION_KEYS = {"sweep": ("parameter", "from", "to", "steps", "log_scale"),
                 "mc": ("iters", "seed", "mode", "jobs"),
-                "eta_policy": ("optimize", "fixed")}
+                "eta_policy": ("fixed",)}
 
 EXIT_USAGE = 1
 EXIT_NUMERIC = 2
@@ -75,7 +78,7 @@ class RunConfig:
     network: dict = field(default_factory=dict)  # NetworkParams fields; accepts snr_db OR p_max
     sweep: dict = field(default_factory=dict)    # parameter/from/to/steps/log_scale
     mc: dict = field(default_factory=dict)       # iters/seed/mode/jobs
-    eta_policy: dict = field(default_factory=lambda: {"optimize": True})
+    eta_policy: dict = field(default_factory=dict)  # {} optimizes per point, or fixed
     variant: str = "both"
     output_dir: str = "out"
 
@@ -177,6 +180,10 @@ class RunConfig:
         # formula (the one the Monte Carlo adjudicates for)
         return self.variant if self.variant in PAPER_VARIANTS else "rederived"
 
+    def variants(self) -> tuple[str, ...]:
+        """The variants reported: the paper's two for "both", else the one named."""
+        return PAPER_VARIANTS if self.variant == "both" else (self.variant,)
+
 
 def _fmt(x: float) -> str:
     return repr(float(x))
@@ -189,6 +196,7 @@ def _write_run_metadata(out_dir: Path, cfg: RunConfig, extra: dict) -> None:
 
 
 def run_sweep(cfg: RunConfig) -> list[dict]:
+    """One row per swept value, with every analytic variant as mse_analytic_<v>."""
     name, values = cfg.sweep_values()
     replaced = SWEEP_PARAMETERS[name]
     fixed_eta = cfg.fixed_eta()
@@ -208,28 +216,27 @@ def run_sweep(cfg: RunConfig) -> list[dict]:
                 flags.append("boundary-minimum")
             if opt.extended:
                 flags.append("search-extended")
-        printed = mse_analytic(params, eta, "printed").total
-        rederived = mse_analytic(params, eta, "rederived").total
+        analytic = {v: mse_analytic(params, eta, v).total for v in VARIANTS}
         est = estimate_mse(params, eta, iters, seed, mode=mode, n_jobs=jobs)
-        if abs(rederived - est.mean) > 3.0 * est.std_error:
+        if abs(analytic["rederived"] - est.mean) > 3.0 * est.std_error:
             flags.append("analytic-mc-discrepancy")
         rows.append({
             "param_value": float(value), "eta_used": eta,
-            "mse_analytic_printed": printed, "mse_analytic_rederived": rederived,
+            **{f"mse_analytic_{v}": total for v, total in analytic.items()},
             "mse_mc_mean": est.mean, "mse_mc_stderr": est.std_error,
             "k_mean": params.mean_count, "flags": ";".join(flags),
         })
     return rows
 
 
-def write_sweep_csv(rows: list[dict], out_dir: Path) -> Path:
-    path = out_dir / "results.csv"
+def write_csv(path: Path, columns: list[str], rows: list[dict]) -> Path:
+    """The named columns of each row; numbers as repr(float), strings as is."""
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
+        writer.writerow(columns)
         for row in rows:
-            writer.writerow([_fmt(row[c]) if c != "flags" else row[c]
-                             for c in CSV_HEADER])
+            writer.writerow([row[c] if isinstance(row[c], str) else _fmt(row[c])
+                             for c in columns])
     return path
 
 
@@ -239,18 +246,19 @@ def optimal_radius(cfg: RunConfig, r_min: float, r_max: float,
         raise UsageError("require 1 < --r-min and --r-max >= --r-min + 1 (a 1 m grid)")
     if not ref_radius > 1.0:
         raise UsageError(f"require ref_radius > 1, got {ref_radius:g}")
-    variants = PAPER_VARIANTS if cfg.variant == "both" else (cfg.variant,)
     report = {"r_min": r_min, "r_max": r_max, "ref_radius": ref_radius,
               "variants": {}}
     params = cfg.network_params(radius=r_min)  # radius_curve sets each radius
-    grid = np.arange(r_min, r_max + 1e-9, 1.0)
-    for variant in variants:
+    grid = np.arange(r_min, r_max, 1.0)  # 1 m steps, then r_max itself
+    grid = np.append(grid[grid < r_max - 1e-6], r_max)
+    on_grid = np.flatnonzero(grid == ref_radius)
+    for variant in cfg.variants():
         def mse_at(radius: float) -> float:
             return float(radius_curve(params, [radius], variant)[0])
 
         grid_mse = radius_curve(params, grid, variant)
         refined = refine_bracket(mse_at, grid, grid_mse, tol=1e-4)
-        mse_ref = mse_at(ref_radius)
+        mse_ref = float(grid_mse[on_grid[0]]) if on_grid.size else mse_at(ref_radius)
         report["variants"][variant] = {
             "r_opt": refined.x_min,
             "mse_opt": refined.g_min,
@@ -278,7 +286,7 @@ def eta_report(cfg: RunConfig, n_points: int = 200) -> dict:
         "rician_mean_exact": rician_mean(params),
         "variants": {},
     }
-    variants = PAPER_VARIANTS if cfg.variant == "both" else (cfg.variant,)
+    variants = cfg.variants()
     for variant in variants:
         opt = optimize_eta(params, variant)
         report["variants"][variant] = {
@@ -293,16 +301,6 @@ def eta_report(cfg: RunConfig, n_points: int = 200) -> dict:
              for e in etas]
     report["curve"] = curve
     return report
-
-
-def _write_eta_curve_csv(report: dict, out_dir: Path) -> None:
-    curve = report["curve"]
-    cols = list(curve[0].keys())
-    with (out_dir / "eta_curve.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(cols)
-        for point in curve:
-            writer.writerow([_fmt(point[c]) for c in cols])
 
 
 def _criteria(text: str) -> list[int]:
@@ -375,7 +373,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "sweep":
             out_dir.mkdir(parents=True, exist_ok=True)
             rows = run_sweep(cfg)
-            path = write_sweep_csv(rows, out_dir)
+            path = write_csv(out_dir / "results.csv", CSV_HEADER, rows)
             _write_run_metadata(out_dir, cfg, {"rows": len(rows)})
             print(f"wrote {path} ({len(rows)} rows)")
             return 0
@@ -395,7 +393,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "eta-report":
             out_dir.mkdir(parents=True, exist_ok=True)
             report = eta_report(cfg, n_points=args.points)
-            _write_eta_curve_csv(report, out_dir)
+            write_csv(out_dir / "eta_curve.csv", ["eta", *cfg.variants()],
+                      report["curve"])
             (out_dir / "eta_report.json").write_text(
                 json.dumps({k: v for k, v in report.items() if k != "curve"},
                            indent=2) + "\n")

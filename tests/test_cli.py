@@ -1,6 +1,8 @@
 import csv
 import json
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from aircomp import analytical, cli
@@ -62,6 +64,10 @@ class TestRunConfig:
         assert RunConfig(variant="both").opt_variant() == "rederived"
         assert RunConfig(variant="printed").opt_variant() == "printed"
 
+    def test_reported_variants(self):
+        assert RunConfig(variant="both").variants() == ("printed", "rederived")
+        assert RunConfig(variant="printed").variants() == ("printed",)
+
 
 class TestSweepCommand:
     def test_writes_csv_and_metadata(self, tmp_path, capsys):
@@ -93,6 +99,18 @@ class TestSweepCommand:
             rows = list(csv.reader(fh))[1:]
         assert [float(r[1]) for r in rows] == [float(r[0]) for r in rows]
 
+    def test_one_realization_has_zero_stderr(self, tmp_path):
+        # one realization has no spread: the standard error is 0 and any
+        # analytic-vs-Monte-Carlo gap raises the discrepancy flag
+        cfg_path = write_config(tmp_path, mc={"iters": 1, "seed": 7})
+        assert main(["sweep", "--config", str(cfg_path)]) == 0
+        with (tmp_path / "out" / "results.csv").open() as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 2
+        for row in rows:
+            assert float(row["mse_mc_stderr"]) == 0.0
+            assert "analytic-mc-discrepancy" in row["flags"].split(";")
+
     def test_bad_sweep_parameter_is_usage_error(self, tmp_path):
         cfg_path = write_config(
             tmp_path, sweep={"parameter": "nope", "from": 1, "to": 2})
@@ -119,11 +137,12 @@ class TestSweepCommand:
         ({"sweep": {"parameter": "lambda", "from": 0.02, "to": 0.05, "step": 3}},
          "unknown sweep keys: ['step']"),
         ({"eta_policy": {"fix": 10.0}}, "unknown eta_policy keys: ['fix']"),
+        ({"eta_policy": {"optimize": False}}, "unknown eta_policy keys: ['optimize']"),
         ({"mc": 50}, "mc must be an object"),
     ], ids=["iters-0", "jobs-0", "mode-bogus", "no-from", "no-to", "wavelength",
             "iters-null", "from-text", "fixed-negative", "density-negative",
             "iters-fraction", "jobs-bool", "steps-fraction", "mc-typo",
-            "sweep-typo", "eta-policy-typo", "mc-not-object"])
+            "sweep-typo", "eta-policy-typo", "eta-policy-optimize", "mc-not-object"])
     def test_bad_config_is_usage_error(self, tmp_path, capsys, overrides, message):
         cfg_path = write_config(tmp_path, **overrides)
         assert main(["sweep", "--config", str(cfg_path)]) == 1
@@ -178,6 +197,28 @@ def patch_optimize_eta(monkeypatch, replacement):
 
 
 @pytest.fixture
+def parabola(monkeypatch):
+    """Count optimize_eta calls and make each one instant: the optimized MSE
+    is a parabola in R with its minimum at 12.2 m."""
+    calls = []
+
+    def fake(params, variant="rederived", **kw):
+        calls.append(params.radius)
+        return SimpleNamespace(mse=(params.radius - 12.2) ** 2 + 1.0)
+
+    patch_optimize_eta(monkeypatch, fake)
+    return calls
+
+
+def radius_report(tmp_path, r_min, r_max, ref_radius):
+    cfg_path = write_config(tmp_path, variant="rederived")
+    assert main(["optimal-radius", "--config", str(cfg_path), "--r-min", r_min,
+                 "--r-max", r_max, "--ref-radius", ref_radius]) == 0
+    report = json.loads((tmp_path / "out" / "optimal_radius.json").read_text())
+    return report["variants"]["rederived"]
+
+
+@pytest.fixture
 def no_work(monkeypatch):
     """Make the radius search fail if it evaluates anything."""
     def fail(*args, **kw):
@@ -214,6 +255,27 @@ class TestOptimalRadiusCommand:
         assert main(["optimal-radius", "--config", str(cfg_path),
                      "--r-min", "11", "--r-max", "15", "--ref-radius", "5"]) == 0
         assert len(calls) <= 5 + 20 + 1
+
+    def test_ref_radius_on_the_grid_reads_the_grid(self, tmp_path, parabola):
+        off_grid = radius_report(tmp_path, "11", "15", "5")
+        n_off_grid = len(parabola)
+        parabola.clear()
+        on_grid = radius_report(tmp_path, "11", "15", "11")
+        assert len(parabola) == n_off_grid - 1
+        assert on_grid["mse_ref"] == on_grid["grid_mse"][0]
+        assert off_grid["mse_opt"] == on_grid["mse_opt"]
+
+    @pytest.mark.parametrize("r_min, r_max", [
+        ("11", "12.5"), ("5", "40.5"), ("5.1", "40.1"), ("5", "40"), ("5.5", "9.5"),
+    ])
+    def test_grid_ends_at_r_max(self, tmp_path, parabola, r_min, r_max):
+        radii = radius_report(tmp_path, r_min, r_max, r_min)["grid_radii"]
+        assert radii[0] == float(r_min) and radii[-1] == float(r_max)
+        steps = np.diff(radii)
+        assert np.allclose(steps[:-1], 1.0) and 1e-6 < steps[-1] <= 1.0 + 1e-9
+        if float(r_max) - float(r_min) == round(float(r_max) - float(r_min)):
+            # a whole number of metres: the 1 m grid, exactly
+            assert radii == list(np.arange(float(r_min), float(r_max) + 1e-9, 1.0))
 
     def test_invalid_bracket_is_usage_error(self, tmp_path, capsys, no_work):
         cfg_path = write_config(tmp_path)

@@ -75,3 +75,20 @@ def test_one_sampler():
                 if name in SAMPLING:
                     found.append(f"{path.name}:{node.lineno} calls {name}")
     assert not found, found
+
+
+def test_one_sweep():
+    # cli.run_sweep is the one analytic-vs-Monte-Carlo sweep (the acceptance
+    # grid runs it too): no other module calls estimate_mse
+    assert SOURCES
+    found = []
+    for path in SOURCES:
+        if path.name in ("cli.py", "montecarlo.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                if name == "estimate_mse":
+                    found.append(f"{path.name}:{node.lineno} calls {name}")
+    assert not found, found
