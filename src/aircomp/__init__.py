@@ -7,7 +7,7 @@ from .model import (NetworkParams, realization_rng, sample_ppp_chunks,
                     transmit_power)
 from .montecarlo import (CampbellReport, MseEstimate, campbell_check,
                          estimate_mse, realization_mse)
-from .numerics import QuadratureSpec, integrate, minimize_unimodal
+from .numerics import integrate, minimize_unimodal
 from .specfun import (RicianParams, bessel_i0e, marcum_q1,
                       poisson_inverse_moment, rician_ccdf, rician_pdf)
 

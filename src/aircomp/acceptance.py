@@ -12,17 +12,18 @@ import json
 import math
 import tempfile
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .analytical import (VARIANTS, eta_star_realization, eta_upper_bound,
-                         mse_analytic, optimize_eta, radius_curve)
+from .analytical import (ETA_FLOOR, VARIANTS, eta_star_realization,
+                         eta_upper_bound, mse_analytic, optimize_eta,
+                         radius_curve)
 from .cli import RunConfig, main, run_sweep
 from .model import NetworkParams, sample_ppp_chunks, transmit_power
 from .montecarlo import campbell_check, realization_mse
-from .numerics import QuadratureSpec, integrate
+from .numerics import integrate
 from .specfun import (RicianParams, bessel_i0e, marcum_q1,
                       poisson_inverse_moment, rician_pdf)
 
@@ -30,10 +31,6 @@ SEED = 0
 SECOND_SEED = 1
 N_ITER = 10_000  # Monte Carlo realizations of criteria 2-4
 
-FIG_ALPHA = 2.1
-FIG_DENSITY = 0.05
-FIG_B = 15.0
-FIG_SNR_P_MAX = 1000.0  # SNR = 30 dB with noise power 1
 FIG2_SWEEP = {"parameter": "lambda", "from": 0.01, "to": 0.1, "steps": 10}
 FIG2_RADII = (10.0, 40.0)
 FIG3_RADIUS = 15.0
@@ -46,14 +43,6 @@ class CriterionResult:
     passed: bool
     detail: str
     seconds: float = 0.0
-
-
-def _fig_params(**kw) -> NetworkParams:
-    base = dict(density=FIG_DENSITY, radius=FIG2_RADII[0], alpha=FIG_ALPHA,
-                epsilon=1.0, rician_b=FIG_B, p_max=FIG_SNR_P_MAX,
-                noise_power=1.0)
-    base.update(kw)
-    return NetworkParams(**base)
 
 
 # --- criterion 1: special functions -----------------------------------------
@@ -80,13 +69,13 @@ def criterion_1() -> CriterionResult:
         if abs(marcum_q1(a, a) - ident) > 1e-10:
             errs.append(f"Q1({a}, {a}) identity off by "
                         f"{abs(marcum_q1(a, a) - ident):.2e}")
-    spec = QuadratureSpec(rel_tol=1e-11, abs_tol=1e-15)
+    tol = (1e-11, 1e-15)  # (rel_tol, abs_tol)
     for b_factor in (0.0, 1.0, 10.0, 15.0, 20.0):
         rp = RicianParams.from_b_factor(b_factor)
         hi = rp.c + 25.0 * rp.sigma
-        mass = integrate(lambda v: np.asarray(rician_pdf(v, rp)), 0.0, hi, spec)
+        mass = integrate(lambda v: np.asarray(rician_pdf(v, rp)), 0.0, hi, *tol)
         mom2 = integrate(lambda v: np.asarray(v) ** 2 * np.asarray(rician_pdf(v, rp)),
-                         0.0, hi, spec)
+                         0.0, hi, *tol)
         if abs(mass - 1.0) > 1e-8:
             errs.append(f"pdf mass at B={b_factor} off by {abs(mass - 1):.2e}")
         if abs(mom2 - 1.0) > 1e-8:
@@ -102,7 +91,7 @@ def criterion_1() -> CriterionResult:
 # --- criterion 2: Campbell oracle --------------------------------------------
 
 def criterion_2() -> CriterionResult:
-    params = _fig_params(radius=15.0)
+    params = NetworkParams(radius=15.0)
     report = campbell_check(params, N_ITER, SEED)
     detail = ", ".join(f"z[{n}]={z:+.2f}" for n, z in
                        zip(report.names, report.z_scores))
@@ -119,7 +108,7 @@ def criterion_2() -> CriterionResult:
 
 def compute_fig2_grid() -> list[dict]:
     """The sweep's rows (eta optimized on rederived) per radius, tagged with it."""
-    configs = {radius: RunConfig(network=asdict(_fig_params(radius=radius)),
+    configs = {radius: RunConfig(network={"radius": radius},
                                  sweep=FIG2_SWEEP, mc={"iters": N_ITER, "seed": SEED},
                                  variant="rederived") for radius in FIG2_RADII}
     return [{"radius": r, **row} for r, cfg in configs.items() for row in run_sweep(cfg)]
@@ -187,7 +176,7 @@ def criterion_5() -> CriterionResult:
     passed = True
     for b_factor in (10.0, 15.0, 20.0):
         radii = np.arange(5.0, 40.0 + 1e-9, 1.0)
-        mses = radius_curve(_fig_params(rician_b=b_factor), radii, "rederived")
+        mses = radius_curve(NetworkParams(rician_b=b_factor), radii, "rederived")
         i = int(np.argmin(mses))
         interior = 0 < i < radii.size - 1
         reduction = 1.0 - mses[i] / mses[0]
@@ -199,8 +188,8 @@ def criterion_5() -> CriterionResult:
             in_band = 10.0 <= radii[i] <= 20.0 and 0.05 <= reduction <= 0.20
             passed = passed and in_band
             if not in_band:
-                bound = eta_upper_bound(_fig_params(radius=float(radii[i]),
-                                                    rician_b=b_factor))
+                bound = eta_upper_bound(NetworkParams(radius=float(radii[i]),
+                                                      rician_b=b_factor))
                 msgs.append(
                     "DISCREPANCY: outside the published band; formula-variant "
                     f"gap and bound readings: capped printed "
@@ -233,11 +222,11 @@ def criterion_6() -> CriterionResult:
     parabola in ln eta through the grid argmin and its two neighbours, taken
     from the same 1000 evaluations.
     """
-    params = _fig_params(radius=FIG3_RADIUS)
+    params = NetworkParams(radius=FIG3_RADIUS)
     opt = optimize_eta(params, "rederived")
     hi = opt.search_hi  # includes any documented safety inflation
-    log_etas = np.linspace(math.log(1e-6 * params.noise_power), math.log(hi),
-                           1000)
+    log_etas = np.linspace(math.log(ETA_FLOOR * params.noise_power),
+                           math.log(hi), 1000)
     etas = np.exp(log_etas)
     mses = np.array([mse_analytic(params, float(e), "rederived").total
                      for e in etas])
@@ -257,7 +246,7 @@ def criterion_6() -> CriterionResult:
 # --- criterion 7: per-realization stationary point -----------------------------
 
 def criterion_7() -> CriterionResult:
-    params = _fig_params(radius=5.0)  # mean count ~3.9, small realizations
+    params = NetworkParams(radius=5.0)  # mean count ~3.9, small realizations
     eta_ref = 5.0
     found = 0
     failures = []

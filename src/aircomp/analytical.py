@@ -27,13 +27,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .model import NetworkParams, transmit_power
-from .numerics import (MinimizeResult, QuadratureSpec, integrate,
-                       minimize_unimodal, power_integral)
+from .numerics import (MinimizeResult, integrate, minimize_unimodal,
+                       power_integral)
 from .specfun import marcum_q1, poisson_inverse_moment, rician_pdf
 
 __all__ = [
     "PAPER_VARIANTS",
     "VARIANTS",
+    "ETA_FLOOR",
     "AnalyticBreakdown",
     "EtaBound",
     "EtaOptimum",
@@ -48,12 +49,16 @@ __all__ = [
 PAPER_VARIANTS = ("printed", "rederived")
 VARIANTS = PAPER_VARIANTS + ("conditional",)
 
-_RADIAL_SPEC = QuadratureSpec(rel_tol=1e-8, abs_tol=1e-14, max_subdivisions=2000)
-_FADING_SPEC = QuadratureSpec(rel_tol=1e-9, abs_tol=1e-15, max_subdivisions=2000)
+# (rel_tol, abs_tol) of the radial and the fading-axis quadratures
+_RADIAL_TOL = (1e-8, 1e-14)
+_FADING_TOL = (1e-9, 1e-15)
 
 # The Rician density at v > c + 20 sigma carries ~1e-90 of the mass; integrals
 # against it are truncated there.
 _TAIL_SIGMAS = 20.0
+
+# Lower end of the eta search, in units of the noise power.
+ETA_FLOOR = 1e-6
 
 # optimize_eta: golden-section tolerance in ln eta, and the factor and count
 # by which the search interval is inflated while the minimum sits on its top.
@@ -75,7 +80,6 @@ class AnalyticBreakdown:
             + k_factor * noise_term / (1 - exp(-mu))
     """
 
-    variant: str
     k_factor: float
     capped_term: float
     geometry_term: float
@@ -141,7 +145,7 @@ def mse_analytic(params: NetworkParams, eta: float,
         return rician_pdf(v, rp) * (ratio ** 2 * v * v * j1
                                     - 2.0 * ratio * v * j2)
 
-    capped_term = integrate(capped_integrand, 0.0, v_hi, _FADING_SPEC) \
+    capped_term = integrate(capped_integrand, 0.0, v_hi, *_FADING_TOL) \
         if v_hi > 0 else 0.0
 
     kappa = 2.0 if variant == "printed" else 0.0
@@ -152,7 +156,7 @@ def mse_analytic(params: NetworkParams, eta: float,
         poly = np.power(r, s - alpha) - 2.0 * np.power(r, 0.5 * (s - alpha)) + kappa
         return poly * r * np.asarray(marcum_q1(a_marcum, d_of_r(r) / rp.sigma))
 
-    marcumq_term = integrate(marcum_integrand, 1.0, r_max, _RADIAL_SPEC)
+    marcumq_term = integrate(marcum_integrand, 1.0, r_max, *_RADIAL_TOL)
 
     geometry_term = 0.5 * (r_max ** 2 - 1.0)
     noise_term = params.noise_power / eta
@@ -165,7 +169,6 @@ def mse_analytic(params: NetworkParams, eta: float,
     else:
         total = k_factor * (misalignment + noise_term)
     return AnalyticBreakdown(
-        variant=variant,
         k_factor=k_factor,
         capped_term=float(capped_term),
         geometry_term=geometry_term,
@@ -179,7 +182,7 @@ def rician_mean(params: NetworkParams) -> float:
     """E[|h|] by quadrature of v f(v)."""
     rp = params.rician()
     return integrate(lambda v: np.asarray(v) * np.asarray(rician_pdf(v, rp)),
-                     0.0, _fading_cutoff(params), _FADING_SPEC)
+                     0.0, _fading_cutoff(params), *_FADING_TOL)
 
 
 @dataclass(frozen=True)
@@ -248,7 +251,6 @@ def eta_star_realization(d: np.ndarray, h: np.ndarray, eta_ref: float,
 class EtaOptimum:
     eta: float
     mse: float
-    variant: str
     search_hi: float   # after any safety inflation
     boundary: bool     # minimizer flagged an edge cell
     extended: bool     # search interval was inflated beyond the bound
@@ -257,11 +259,11 @@ class EtaOptimum:
 def optimize_eta(params: NetworkParams, variant: str = "rederived") -> EtaOptimum:
     """Minimize the analytical MSE over the denoising factor.
 
-    Searches (1e-6 * noise_power, eta_hat] on a log axis; if the minimizer
+    Searches (ETA_FLOOR * noise_power, eta_hat] on a log axis; if the minimizer
     lands on the upper edge the interval is inflated tenfold (at most three
     times) and the result is flagged.
     """
-    lo = 1e-6 * params.noise_power
+    lo = ETA_FLOOR * params.noise_power
     hi = eta_upper_bound(params).value
 
     def objective(eta: float) -> float:
@@ -275,8 +277,8 @@ def optimize_eta(params: NetworkParams, variant: str = "rederived") -> EtaOptimu
         hi *= _SAFETY
         extended = True
         result = minimize_unimodal(objective, lo, hi, tol=_ETA_TOL)
-    return EtaOptimum(eta=result.x_min, mse=result.g_min, variant=variant,
-                      search_hi=hi, boundary=result.boundary, extended=extended)
+    return EtaOptimum(eta=result.x_min, mse=result.g_min, search_hi=hi,
+                      boundary=result.boundary, extended=extended)
 
 
 def radius_curve(params: NetworkParams, radii, variant: str) -> np.ndarray:

@@ -23,13 +23,13 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .analytical import (PAPER_VARIANTS, VARIANTS, eta_upper_bound,
+from .analytical import (ETA_FLOOR, PAPER_VARIANTS, VARIANTS, eta_upper_bound,
                          mse_analytic, optimize_eta, radius_curve, rician_mean)
 from .model import MODES, NetworkParams
 from .montecarlo import estimate_mse
@@ -116,18 +116,19 @@ class RunConfig:
         return cfg
 
     def network_params(self, **replacements) -> NetworkParams:
+        """NetworkParams from the network section, whose missing fields take
+        NetworkParams' defaults; snr_db sets p_max via the noise power."""
         net = dict(self.network)
         net.update(replacements)
         if "snr_db" in net and "p_max" in net:
             raise UsageError("config must give snr_db or p_max, not both")
-        defaults = {"density": 0.05, "radius": 10.0, "alpha": 2.1}
-        for k, v in defaults.items():
-            net.setdefault(k, v)
         try:
             snr_db = net.pop("snr_db", None)
+            params = NetworkParams(**net)
             if snr_db is not None:
-                net["p_max"] = net.get("noise_power", 1.0) * 10.0 ** (snr_db / 10.0)
-            return NetworkParams(**net)
+                params = replace(params, p_max=params.noise_power
+                                 * 10.0 ** (snr_db / 10.0))
+            return params
         except (TypeError, ValueError) as exc:
             raise UsageError(f"bad network config: {exc}") from exc
 
@@ -272,7 +273,7 @@ def optimal_radius(cfg: RunConfig, r_min: float, r_max: float,
     return report
 
 
-def eta_report(cfg: RunConfig, n_points: int = 200) -> dict:
+def eta_report(cfg: RunConfig, n_points: int) -> dict:
     if n_points < 1:
         raise UsageError(f"--points must be >= 1, got {n_points}")
     params = cfg.network_params()
@@ -294,7 +295,7 @@ def eta_report(cfg: RunConfig, n_points: int = 200) -> dict:
             "search_hi": opt.search_hi, "boundary": opt.boundary,
             "extended": opt.extended,
         }
-    etas = np.exp(np.linspace(math.log(1e-6 * params.noise_power),
+    etas = np.exp(np.linspace(math.log(ETA_FLOOR * params.noise_power),
                               math.log(bound.value), n_points))
     curve = [{"eta": float(e),
               **{v: mse_analytic(params, float(e), v).total for v in variants}}

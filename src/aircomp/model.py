@@ -41,11 +41,12 @@ CHUNK_DEVICES = 4096
 
 @dataclass(frozen=True)
 class NetworkParams:
-    """Full scenario parameterization."""
+    """Full scenario parameterization.  The defaults are the paper's reference
+    cell, the one its Fig. 2 evaluates: SNR p_max / noise_power of 30 dB."""
 
-    density: float          # device density lambda (devices / m^2)
-    radius: float           # AP access radius R (m)
-    alpha: float            # path-loss exponent
+    density: float = 0.05   # device density lambda (devices / m^2)
+    radius: float = 10.0    # AP access radius R (m)
+    alpha: float = 2.1      # path-loss exponent
     epsilon: float = 1.0    # power-control factor in [0, 1]
     rician_b: float = 15.0  # Rician factor B
     p_max: float = 1000.0   # maximum transmit power (W)
@@ -80,14 +81,13 @@ class NetworkParams:
 def _inner_disc_policy(d, h, bounds: list[int], mode: str):
     """The inner-disc policy on consecutive realizations, realization j
     owning devices bounds[j] .. bounds[j + 1] - 1: clamp distances to 1 m or
-    drop the devices.  Returns the distances, fadings and bounds left."""
+    ("annulus") drop the devices; sample_ppp_chunks has checked mode.
+    Returns the distances, fadings and bounds left."""
     if mode == "clamp":
         return np.maximum(d, 1.0), h, bounds
-    if mode == "annulus":
-        keep = d >= 1.0
-        kept = np.concatenate(([0], np.cumsum(keep)))
-        return d[keep], h[keep], kept[bounds].tolist()
-    raise ValueError(f"unknown mode {mode!r}")
+    keep = d >= 1.0
+    kept = np.concatenate(([0], np.cumsum(keep)))
+    return d[keep], h[keep], kept[bounds].tolist()
 
 
 def transmit_power(d, h_mag, eta: float, params: NetworkParams):
@@ -96,6 +96,7 @@ def transmit_power(d, h_mag, eta: float, params: NetworkParams):
     Below the fading threshold T(d) = sqrt(eta / p_max) d^{alpha eps / 2} the
     device transmits at p_max; above it, at (eta / h^2) d^{alpha eps}.  The
     two branches agree at the threshold.  h_mag = 0 falls in the capped branch.
+    Returns an array of the broadcast shape of d and h_mag.
     """
     if not eta > 0:
         raise ValueError("eta must be > 0")
@@ -110,9 +111,7 @@ def transmit_power(d, h_mag, eta: float, params: NetworkParams):
     capped = h_arr <= threshold
     with np.errstate(divide="ignore"):
         inverted = eta * d_pow / np.where(capped, 1.0, h_arr) ** 2
-    out = np.where(capped, params.p_max, inverted)
-    scalar = np.isscalar(d) and np.isscalar(h_mag)
-    return float(out) if scalar else out
+    return np.where(capped, params.p_max, inverted)
 
 
 def _disc_devices(params: NetworkParams, rp: RicianParams, u, g):

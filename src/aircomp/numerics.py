@@ -1,9 +1,10 @@
 """Generic numerical kernels: adaptive 1-D quadrature, the closed-form power
 integral, and bounded scalar minimization.
 
-The quadrature is a globally adaptive Gauss-Kronrod (G7, K15) scheme with the
-embedded 7-point Gauss rule providing the per-panel error estimate; each
-bisection evaluates both halves in one call of the integrand.  The
+The quadrature, `integrate(f, a, b, rel_tol, abs_tol)`, is a globally
+adaptive Gauss-Kronrod (G7, K15) scheme with the embedded 7-point Gauss rule
+providing the per-panel error estimate; each bisection evaluates both halves
+in one call of the integrand, and it gives up after 2000 bisections.  The
 minimizer is one scan-then-refine search, `refine_bracket`: golden section
 in ln x between the neighbours of a grid scan's argmin.  `minimize_unimodal`
 scans 64 log-spaced points for it; the access-radius search scans a 1 m grid.
@@ -18,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "QuadratureSpec",
     "QuadratureError",
     "MinimizeResult",
     "integrate",
@@ -27,34 +27,12 @@ __all__ = [
     "refine_bracket",
 ]
 
+# Bisections integrate makes before it gives up on its tolerance.
+_MAX_SUBDIVISIONS = 2000
+
 
 class QuadratureError(RuntimeError):
-    """Raised when the adaptive scheme cannot reach the requested tolerance.
-
-    Carries the best available estimate and its error bound so callers can
-    decide whether to accept a degraded result.
-    """
-
-    def __init__(self, message: str, best_estimate: float | None = None,
-                 error_bound: float | None = None):
-        super().__init__(message)
-        self.best_estimate = best_estimate
-        self.error_bound = error_bound
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    rel_tol: float = 1e-8
-    abs_tol: float = 1e-12
-    max_subdivisions: int = 2000
-
-    def __post_init__(self):
-        if not self.rel_tol > 0:
-            raise ValueError(f"rel_tol must be > 0, got {self.rel_tol}")
-        if self.abs_tol < 0:
-            raise ValueError(f"abs_tol must be >= 0, got {self.abs_tol}")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
+    """Raised when the adaptive scheme cannot reach the requested tolerance."""
 
 
 # 15-point Kronrod nodes on [-1, 1]; odd-indexed entries are the embedded
@@ -116,15 +94,13 @@ def _gk15(f, panels: list[tuple[float, float]]) -> list[tuple[float, float]]:
     return out
 
 
-def integrate(f, a: float, b: float, spec: QuadratureSpec | None = None) -> float:
+def integrate(f, a: float, b: float, rel_tol: float, abs_tol: float) -> float:
     """Adaptive integral of f over [a, b] to within max(abs_tol, rel_tol*|I|).
 
     f is called on an array of nodes and must return an array of the same
     shape: once on the 15 nodes of [a, b], then once per bisection on the
     30 nodes of both halves of the panel with the largest error estimate.
     """
-    if spec is None:
-        spec = QuadratureSpec()
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError("integration limits must be finite")
     if a > b:
@@ -137,8 +113,8 @@ def integrate(f, a: float, b: float, spec: QuadratureSpec | None = None) -> floa
     panels = [(-err, a, b, val, err)]
     total = val
     total_err = err
-    for _ in range(spec.max_subdivisions):
-        if total_err <= max(spec.abs_tol, spec.rel_tol * abs(total)):
+    for _ in range(_MAX_SUBDIVISIONS):
+        if total_err <= max(abs_tol, rel_tol * abs(total)):
             return total
         _, pa, pb, pval, perr = heapq.heappop(panels)
         pm = 0.5 * (pa + pb)
@@ -151,12 +127,11 @@ def integrate(f, a: float, b: float, spec: QuadratureSpec | None = None) -> floa
         total_err += le + re_ - perr
         heapq.heappush(panels, (-le, pa, pm, lv, le))
         heapq.heappush(panels, (-re_, pm, pb, rv, re_))
-    if total_err <= max(spec.abs_tol, spec.rel_tol * abs(total)):
+    if total_err <= max(abs_tol, rel_tol * abs(total)):
         return total
     raise QuadratureError(
-        f"quadrature did not converge after {spec.max_subdivisions} "
-        f"subdivisions (estimate {total!r}, error bound {total_err!r})",
-        best_estimate=total, error_bound=total_err)
+        f"quadrature did not converge after {_MAX_SUBDIVISIONS} "
+        f"subdivisions (estimate {total!r}, error bound {total_err!r})")
 
 
 def power_integral(lo, hi, p: float):

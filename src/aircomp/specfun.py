@@ -159,7 +159,6 @@ def marcum_q1(a: float, b):
 class RicianParams:
     """Derived Rician fading constants with unit second moment c^2 + 2 sigma^2 = 1."""
 
-    b_factor: float
     c: float
     sigma: float
 
@@ -169,7 +168,7 @@ class RicianParams:
             raise ValueError(f"Rician factor must be finite and >= 0, got {b_factor}")
         c = math.sqrt(b_factor / (b_factor + 1.0))
         sigma = math.sqrt(1.0 / (2.0 * (b_factor + 1.0)))
-        return cls(b_factor=b_factor, c=c, sigma=sigma)
+        return cls(c=c, sigma=sigma)
 
     def __post_init__(self):
         if self.sigma <= 0 or self.c < 0:

@@ -12,13 +12,6 @@ from aircomp.montecarlo import realization_mse
 from aircomp.specfun import marcum_q1, poisson_inverse_moment, rician_pdf
 
 
-def make_params(**kw):
-    base = dict(density=0.05, radius=10.0, alpha=2.1, epsilon=1.0,
-                rician_b=15.0, p_max=1000.0, noise_power=1.0)
-    base.update(kw)
-    return NetworkParams(**base)
-
-
 def brute_force_breakdown(params, eta, variant):
     """Nested scipy quadrature of the defining double integrals."""
     rp = params.rician()
@@ -63,14 +56,14 @@ class TestMseAnalytic:
     @pytest.mark.parametrize("variant", VARIANTS)
     @pytest.mark.parametrize("eta", [1.0, 25.0, 400.0])
     def test_against_nested_quadrature(self, variant, eta):
-        params = make_params()
+        params = NetworkParams()
         got = mse_analytic(params, eta, variant).total
         want = brute_force_breakdown(params, eta, variant)
         assert got == pytest.approx(want, rel=1e-6)
 
     def test_variant_gap_identity(self):
         # printed - rederived = K * 2 pi lambda * int 2 r Q1(c/s, D(r)/s) dr
-        params = make_params()
+        params = NetworkParams()
         eta = 25.0
         rp = params.rician()
         ratio = math.sqrt(params.p_max / eta)
@@ -87,7 +80,7 @@ class TestMseAnalytic:
         assert got_gap > 0
 
     def test_epsilon_zero_branch(self):
-        params = make_params(epsilon=0.0)
+        params = NetworkParams(epsilon=0.0)
         got = mse_analytic(params, 25.0, "rederived").total
         want = brute_force_breakdown(params, 25.0, "rederived")
         assert got == pytest.approx(want, rel=1e-6)
@@ -95,8 +88,8 @@ class TestMseAnalytic:
     def test_epsilon_zero_is_continuous_limit(self):
         # the capped integrand's s = 0 case (r_lo = 1) is the s -> 0 limit
         for rician_b in (0.0, 15.0):
-            zero = make_params(epsilon=0.0, rician_b=rician_b)
-            near = make_params(epsilon=1e-12, rician_b=rician_b)
+            zero = NetworkParams(epsilon=0.0, rician_b=rician_b)
+            near = NetworkParams(epsilon=1e-12, rician_b=rician_b)
             for variant in VARIANTS:
                 for eta in (1e-3, 25.0, 1e4):
                     assert mse_analytic(near, eta, variant).total == pytest.approx(
@@ -104,7 +97,7 @@ class TestMseAnalytic:
                         (variant, rician_b, eta)
 
     def test_breakdown_reassembles(self):
-        params = make_params()
+        params = NetworkParams()
         b = mse_analytic(params, 25.0, "rederived")
         total = b.k_factor * (2.0 * math.pi * params.density * (
             b.capped_term + b.geometry_term + b.marcumq_term) + b.noise_term)
@@ -113,12 +106,12 @@ class TestMseAnalytic:
         assert b.noise_term == pytest.approx(params.noise_power / 25.0)
 
     def test_noise_dominates_small_eta(self):
-        params = make_params()
+        params = NetworkParams()
         tiny = mse_analytic(params, 1e-9, "rederived")
         assert tiny.noise_term / tiny.total * tiny.k_factor > 0.999
 
     def test_invalid_inputs(self):
-        params = make_params()
+        params = NetworkParams()
         with pytest.raises(ValueError):
             mse_analytic(params, 25.0, "exact")
         with pytest.raises(ValueError):
@@ -128,7 +121,7 @@ class TestMseAnalytic:
         # Given K = k the devices are iid uniform in the disc, so the mean
         # per-realization MSE is 2 I / R^2 + w^2 / (eta k), with I the
         # rederived bracket integral; the conditional variant rests on this.
-        params = make_params()
+        params = NetworkParams()
         eta = 10.0
         b = mse_analytic(params, eta, "rederived")
         misalignment = 2.0 * (b.capped_term + b.geometry_term
@@ -150,50 +143,50 @@ class TestMseAnalytic:
 
     def test_rician_mean_reference(self):
         # B = 0 Rayleigh: E[h] = sqrt(pi)/2
-        assert rician_mean(make_params(rician_b=0.0)) == pytest.approx(
+        assert rician_mean(NetworkParams(rician_b=0.0)) == pytest.approx(
             math.sqrt(math.pi) / 2.0, rel=1e-8)
 
 
 class TestEtaUpperBound:
     def test_components_positive_and_max(self):
-        b = eta_upper_bound(make_params())
+        b = eta_upper_bound(NetworkParams())
         assert b.value == max(b.capped_moment_printed,
                               b.capped_moment_appendix, b.ratio_moment)
         assert min(b.capped_moment_printed, b.capped_moment_appendix,
                    b.ratio_moment) > 0
 
     def test_capped_readings_reciprocal(self):
-        params = make_params()
+        params = NetworkParams()
         b = eta_upper_bound(params)
         prod = b.capped_moment_printed * b.capped_moment_appendix
         assert prod == pytest.approx(params.p_max ** 2, rel=1e-12)
 
     def test_bound_below_p_max_scale(self):
         # with the bracket < 1 the larger capped reading exceeds P_max
-        b = eta_upper_bound(make_params())
+        b = eta_upper_bound(NetworkParams())
         assert max(b.capped_moment_printed, b.capped_moment_appendix) >= \
-            make_params().p_max
+            NetworkParams().p_max
 
 
 class TestEtaStarRealization:
     def test_single_device_closed_form(self):
         # one device at d = 1, h = 1: eta_ref = P_max keeps it on the cap,
         # so eta* = ((P_max + w^2) / sqrt(P_max))^2
-        params = make_params()
+        params = NetworkParams()
         got = eta_star_realization(np.array([1.0]), np.array([1.0]),
                                    params.p_max, params)
         want = ((params.p_max + params.noise_power) ** 2) / params.p_max
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_empty_rejected(self):
-        params = make_params()
+        params = NetworkParams()
         with pytest.raises(ValueError):
             eta_star_realization(np.array([]), np.array([]), 1.0, params)
 
 
 class TestOptimizeEta:
     def test_interior_optimum_figure_setup(self):
-        params = make_params(density=0.05, radius=10.0)
+        params = NetworkParams(density=0.05, radius=10.0)
         opt = optimize_eta(params)
         assert not opt.boundary
         assert not opt.extended
@@ -201,11 +194,10 @@ class TestOptimizeEta:
         # first-order check: the optimum beats nearby points
         for factor in (0.97, 1.03):
             assert opt.mse <= mse_analytic(params, opt.eta * factor,
-                                           opt.variant).total + 1e-15
+                                           "rederived").total + 1e-15
 
     def test_respects_variant(self):
-        params = make_params()
+        params = NetworkParams()
         a = optimize_eta(params, variant="printed")
         b = optimize_eta(params, variant="rederived")
-        assert a.variant == "printed" and b.variant == "rederived"
         assert a.mse > b.mse  # printed carries the extra positive term

@@ -7,6 +7,7 @@ import pytest
 
 from aircomp import analytical, cli
 from aircomp.cli import CSV_HEADER, RunConfig, UsageError, main
+from aircomp.model import NetworkParams
 
 
 def write_config(tmp_path, **kw):
@@ -28,6 +29,9 @@ class TestRunConfig:
     def test_snr_to_p_max(self, tmp_path):
         cfg = RunConfig.load(str(write_config(tmp_path)), {})
         assert cfg.network_params().p_max == pytest.approx(1000.0)
+
+    def test_default_network_is_the_reference_cell(self):
+        assert RunConfig().network_params() == NetworkParams()
 
     def test_snr_and_p_max_conflict(self):
         cfg = RunConfig(network={"snr_db": 30.0, "p_max": 100.0})

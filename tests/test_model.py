@@ -10,10 +10,8 @@ from stream_contract import contract_devices
 
 
 def make_params(**kw):
-    base = dict(density=0.05, radius=15.0, alpha=2.1, epsilon=1.0,
-                rician_b=15.0, p_max=1000.0, noise_power=1.0)
-    base.update(kw)
-    return NetworkParams(**base)
+    """The reference cell at R = 15 m unless kw says otherwise."""
+    return NetworkParams(**{"radius": 15.0, **kw})
 
 
 def realizations(p, seed, n_iter, mode="clamp"):
@@ -47,6 +45,11 @@ class TestNetworkParams:
         with pytest.raises(ValueError):
             make_params(**{field: value})
 
+    def test_defaults_are_the_reference_cell(self):
+        assert NetworkParams() == NetworkParams(
+            density=0.05, radius=10.0, alpha=2.1, epsilon=1.0, rician_b=15.0,
+            p_max=1000.0, noise_power=1.0)
+
     def test_mean_count(self):
         p = make_params(density=0.05, radius=15.0)
         assert p.mean_count == pytest.approx(0.05 * math.pi * 225.0)
@@ -56,7 +59,9 @@ class TestTransmitPower:
     def test_inversion_branch(self):
         p = make_params(alpha=2.0, epsilon=1.0)
         # threshold sqrt(4/1000)*2 = 0.1265 < 1, so the inversion branch
-        assert transmit_power(2.0, 1.0, 4.0, p) == pytest.approx(16.0)
+        power = transmit_power(2.0, 1.0, 4.0, p)
+        assert isinstance(power, np.ndarray) and power.shape == ()
+        assert power == pytest.approx(16.0)
 
     def test_continuity_at_threshold(self):
         p = make_params(alpha=2.0, epsilon=1.0)
@@ -135,7 +140,7 @@ class TestSamplePpp:
         sums = np.array([float(np.sum(d ** -p.alpha))
                          for d, _ in realizations(p, 13, 10_000, "annulus")])
         target = 2 * math.pi * p.density * integrate(
-            lambda r: np.asarray(r) ** (1.0 - p.alpha), 1.0, p.radius)
+            lambda r: np.asarray(r) ** (1.0 - p.alpha), 1.0, p.radius, 1e-8, 1e-12)
         se = sums.std(ddof=1) / math.sqrt(sums.size)
         assert abs(sums.mean() - target) <= 3.0 * se
 

@@ -12,13 +12,6 @@ from aircomp.montecarlo import (EmptyRealizationError, campbell_check,
 from stream_contract import contract_devices, inner_disc_policy
 
 
-def make_params(**kw):
-    base = dict(density=0.05, radius=10.0, alpha=2.1, epsilon=1.0,
-                rician_b=15.0, p_max=1000.0, noise_power=1.0)
-    base.update(kw)
-    return NetworkParams(**base)
-
-
 def single_device(d, h):
     return np.array([float(d)]), np.array([float(h)])
 
@@ -32,19 +25,19 @@ class TestRealizationMse:
     def test_capped_single_device(self):
         # d = 2, alpha = 2, h = 1, eta = P_max: threshold is 2 > 1, so the
         # device transmits at P_max and the misalignment is (1/2 - 1)^2
-        params = make_params(alpha=2.0)
+        params = NetworkParams(alpha=2.0)
         eta = params.p_max
         got = mse(*single_device(2.0, 1.0), eta, params)
         assert got == pytest.approx(0.25 + params.noise_power / eta, rel=1e-12)
 
     def test_uncapped_single_device(self):
         # inverted power aligns perfectly; only the noise term remains
-        params = make_params()
+        params = NetworkParams()
         got = mse(*single_device(2.0, 1.0), 4.0, params)
         assert got == pytest.approx(params.noise_power / 4.0, rel=1e-12)
 
     def test_clamp_vs_annulus_inner_device(self):
-        params = make_params()
+        params = NetworkParams()
         d, h = np.array([0.5, 2.0]), np.array([1.0, 1.0])
         clamp = mse(*inner_disc_policy(d, h, "clamp"), 4.0, params)
         annulus = mse(*inner_disc_policy(d, h, "annulus"), 4.0, params)
@@ -53,14 +46,14 @@ class TestRealizationMse:
         assert annulus == pytest.approx(params.noise_power / 4.0, rel=1e-12)
 
     def test_empty_raises(self):
-        params = make_params()
+        params = NetworkParams()
         d, h = inner_disc_policy(np.array([0.5]), np.array([1.0]), "annulus")
         with pytest.raises(EmptyRealizationError):
             realization_mse(d, h, np.array([]), 4.0, params)
 
     def test_matches_frozen_objective(self):
         # powers frozen at eta_ref, objective evaluated at another eta
-        params = make_params()
+        params = NetworkParams()
         rng = np.random.default_rng(0)
         d, h = rng.uniform(1.0, 10.0, 8), rng.rayleigh(0.7, 8)
         eta_ref, eta = 6.0, 9.0
@@ -76,7 +69,7 @@ class TestRealizationMse:
     def test_long_realization_is_the_plain_formula(self):
         # with 1000 devices the sum must round as np.sum does; a sequential
         # or segmented reduction (np.add.reduceat) rounds differently
-        params = make_params()
+        params = NetworkParams()
         rng = np.random.default_rng(3)
         d, h = rng.uniform(1.0, 10.0, 1000), rng.rayleigh(0.7, 1000)
         eta = 6.0
@@ -100,13 +93,13 @@ def nonempty_realization_mses(params, eta, n_iter, seed, mode):
 
 class TestEstimateMse:
     def test_deterministic(self):
-        params = make_params()
+        params = NetworkParams()
         a = estimate_mse(params, 10.0, 200, seed=3)
         b = estimate_mse(params, 10.0, 200, seed=3)
         assert a == b
 
     def test_seed_changes_result(self):
-        params = make_params()
+        params = NetworkParams()
         a = estimate_mse(params, 10.0, 200, seed=3)
         b = estimate_mse(params, 10.0, 200, seed=4)
         assert a.mean != b.mean
@@ -117,21 +110,21 @@ class TestEstimateMse:
         ({"density": 0.001, "radius": 5.0}, 2000, 4),  # mostly empty draws
     ], ids=["even", "uneven", "near-empty"])
     def test_parallel_bit_identical(self, cell, n_iter, n_jobs):
-        params = make_params(**cell)
+        params = NetworkParams(**cell)
         serial = estimate_mse(params, 10.0, n_iter, seed=5, n_jobs=1)
         parallel = estimate_mse(params, 10.0, n_iter, seed=5, n_jobs=n_jobs)
         assert serial == parallel
 
     @pytest.mark.parametrize("mode", ["clamp", "annulus"])
     def test_mean_over_nonempty_realizations(self, mode):
-        params = make_params(density=0.02, radius=5.0)  # mean count ~1.6
+        params = NetworkParams(density=0.02, radius=5.0)  # mean count ~1.6
         values = nonempty_realization_mses(params, 10.0, 500, 8, mode)
         est = estimate_mse(params, 10.0, 500, seed=8, mode=mode)
         assert est.n_used == len(values) < 500
         assert est.mean == np.mean(values)
 
     def test_standard_error_scaling(self):
-        params = make_params()
+        params = NetworkParams()
         small = estimate_mse(params, 10.0, 500, seed=6)
         large = estimate_mse(params, 10.0, 8000, seed=6)
         ratio = small.std_error / large.std_error
@@ -139,13 +132,13 @@ class TestEstimateMse:
 
     def test_empty_realizations_skipped(self):
         # near-empty cell: lambda pi (R^2) ~ 0.2, most draws have no devices
-        params = make_params(density=0.001, radius=5.0)
+        params = NetworkParams(density=0.001, radius=5.0)
         est = estimate_mse(params, 10.0, 2000, seed=7)
         assert est.n_used < est.n_total
         assert est.n_used > 0
 
     def test_invalid_args(self):
-        params = make_params()
+        params = NetworkParams()
         with pytest.raises(ValueError):
             estimate_mse(params, 10.0, 0, seed=0)
         with pytest.raises(ValueError):
@@ -167,8 +160,8 @@ class TestEstimateMse:
 def test_estimate_is_mean_of_realization_mses(density, radius, alpha, epsilon,
                                               rician_b, log_eta, seed, n_iter,
                                               mode):
-    params = make_params(density=density, radius=radius, alpha=alpha,
-                         epsilon=epsilon, rician_b=rician_b)
+    params = NetworkParams(density=density, radius=radius, alpha=alpha,
+                           epsilon=epsilon, rician_b=rician_b)
     eta = 10.0 ** log_eta
     values = nonempty_realization_mses(params, eta, n_iter, seed, mode)
     if not values:
@@ -189,14 +182,14 @@ class TestChunkBoundaries:
     @pytest.mark.parametrize("mode", model.MODES)
     @pytest.mark.parametrize("cell, n_iter", CELLS, ids=["readme", "near-empty"])
     def test_estimate_mse(self, monkeypatch, chunk, mode, cell, n_iter):
-        params = make_params(**cell)
+        params = NetworkParams(**cell)
         default = estimate_mse(params, 10.0, n_iter, seed=9, mode=mode)
         monkeypatch.setattr(model, "CHUNK_DEVICES", chunk)
         assert estimate_mse(params, 10.0, n_iter, seed=9, mode=mode) == default
 
     @pytest.mark.parametrize("mode", model.MODES)
     def test_chunks_are_the_per_realization_devices(self, monkeypatch, mode):
-        params = make_params(density=0.02, radius=5.0)
+        params = NetworkParams(density=0.02, radius=5.0)
         monkeypatch.setattr(model, "CHUNK_DEVICES", 7)
         got = [(d[a:b], h[a:b])
                for d, h, bounds in sample_ppp_chunks(params, 4, 10, 200, mode)
@@ -211,7 +204,7 @@ class TestChunkBoundaries:
 
     @pytest.mark.parametrize("chunk", [None, 7])
     def test_campbell_check(self, monkeypatch, chunk):
-        params, n_iter, seed = make_params(), 1000, 11
+        params, n_iter, seed = NetworkParams(), 1000, 11
         if chunk is not None:
             monkeypatch.setattr(model, "CHUNK_DEVICES", chunk)
         report = campbell_check(params, n_iter, seed)
@@ -231,10 +224,10 @@ class TestChunkBoundaries:
 
 class TestCampbellCheck:
     def test_disc_window_within_tolerance(self):
-        report = campbell_check(make_params(), n_iter=4000, seed=11)
+        report = campbell_check(NetworkParams(), n_iter=4000, seed=11)
         assert report.names == ("count", "received_power", "received_amplitude")
         assert report.max_abs_z() < 4.0
 
     def test_requires_enough_iterations(self):
         with pytest.raises(ValueError):
-            campbell_check(make_params(), n_iter=10, seed=0)
+            campbell_check(NetworkParams(), n_iter=10, seed=0)
