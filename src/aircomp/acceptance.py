@@ -277,8 +277,7 @@ def criterion_7() -> CriterionResult:
 
 def criterion_8() -> CriterionResult:
     config = {
-        "network": {"density": 0.05, "radius": 10.0, "alpha": 2.1,
-                    "rician_b": 15.0, "snr_db": 30.0},
+        "network": {"snr_db": 30.0},  # the reference cell, NetworkParams()
         "sweep": {"parameter": "lambda", "from": 0.02, "to": 0.05, "steps": 2},
         "eta_policy": {"fixed": 10.0},
         "mc": {"iters": 300, "seed": 7},

@@ -145,8 +145,7 @@ def mse_analytic(params: NetworkParams, eta: float,
         return rician_pdf(v, rp) * (ratio ** 2 * v * v * j1
                                     - 2.0 * ratio * v * j2)
 
-    capped_term = integrate(capped_integrand, 0.0, v_hi, *_FADING_TOL) \
-        if v_hi > 0 else 0.0
+    capped_term = integrate(capped_integrand, 0.0, v_hi, *_FADING_TOL)
 
     kappa = 2.0 if variant == "printed" else 0.0
     a_marcum = rp.c / rp.sigma
@@ -205,8 +204,6 @@ class EtaBound:
 def eta_upper_bound(params: NetworkParams) -> EtaBound:
     """Maximum denoising factor bounding the search interval."""
     r_max, alpha, eps = params.radius, params.alpha, params.epsilon
-    if r_max <= 1.0:
-        raise ValueError("radius must exceed 1 m")
     rp = params.rician()
     bracket = 3.0 * r_max ** 2 / (2.0 * (r_max ** 3 - 1.0))
     capped_printed = params.p_max * bracket ** (alpha * eps)

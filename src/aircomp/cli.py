@@ -58,19 +58,18 @@ class UsageError(ValueError):
 
 
 def _number(value, key: str, kind=float):
-    """kind(value), or a UsageError naming the config key.
+    """A finite JSON number as kind, or a UsageError naming the config key.
 
-    Booleans are not numbers here, and an int must be integral: 1e4 is
-    accepted, 2.5 is not truncated to 2.
+    Booleans, strings and values beyond the float range (NaN, Infinity, 1e400
+    or a 400-digit integer) are not numbers here, and an int must be
+    integral: 1e4 is accepted, 2.5 is not truncated to 2.
     """
-    if isinstance(value, bool):
-        raise UsageError(f"{key} must be a number, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not abs(value) <= sys.float_info.max:
+        raise UsageError(f"{key} must be a finite number, got {value!r}")
     if kind is int and isinstance(value, float) and not value.is_integer():
         raise UsageError(f"{key} must be an integer, got {value!r}")
-    try:
-        return kind(value)
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"{key} must be a number, got {value!r}") from exc
+    return kind(value)
 
 
 @dataclass
@@ -87,15 +86,18 @@ class RunConfig:
         raw = {}
         if path is not None:
             raw = json.loads(Path(path).read_text())
+        if not isinstance(raw, dict):
+            raise UsageError(f"config must be a JSON object, got {raw!r}")
         cfg = cls(**{k: v for k, v in raw.items() if k in cls.__dataclass_fields__})
         unknown = set(raw) - set(cls.__dataclass_fields__)
         if unknown:
             raise UsageError(f"unknown config fields: {sorted(unknown)}")
-        for name, keys in SECTION_KEYS.items():
+        for name in ("network", *SECTION_KEYS):
             section = getattr(cfg, name)
             if not isinstance(section, dict):
                 raise UsageError(f"{name} must be an object, got {section!r}")
-            unknown = set(section) - set(keys)
+            # network's keys are NetworkParams' fields, checked as it is built
+            unknown = set(section) - set(SECTION_KEYS.get(name, section))
             if unknown:
                 raise UsageError(f"unknown {name} keys: {sorted(unknown)}")
         for key, value in overrides.items():
@@ -118,7 +120,8 @@ class RunConfig:
     def network_params(self, **replacements) -> NetworkParams:
         """NetworkParams from the network section, whose missing fields take
         NetworkParams' defaults; snr_db sets p_max via the noise power."""
-        net = dict(self.network)
+        net = {key: _number(value, f"network.{key}")
+               for key, value in self.network.items()}
         net.update(replacements)
         if "snr_db" in net and "p_max" in net:
             raise UsageError("config must give snr_db or p_max, not both")
@@ -136,8 +139,8 @@ class RunConfig:
         """The swept parameter's name and its grid of values."""
         sweep = self.sweep
         name = sweep.get("parameter")
-        if name not in SWEEP_PARAMETERS:
-            raise UsageError(f"sweep parameter must be one of "
+        if not isinstance(name, str) or name not in SWEEP_PARAMETERS:
+            raise UsageError(f"sweep.parameter must be one of "
                              f"{'|'.join(SWEEP_PARAMETERS)}, got {name!r}")
         if "from" not in sweep or "to" not in sweep:
             raise UsageError("sweep needs from and to")
@@ -148,6 +151,8 @@ class RunConfig:
         if not lo < hi:
             raise UsageError("sweep needs from < to")
         log_scale = sweep.get("log_scale", False)
+        if not isinstance(log_scale, bool):
+            raise UsageError(f"sweep.log_scale must be true or false, got {log_scale!r}")
         if (log_scale or name == "eta") and not lo > 0:
             raise UsageError("sweep needs from > 0 on a log scale or over eta")
         if log_scale:
@@ -170,6 +175,8 @@ class RunConfig:
         mode = str(self.mc.get("mode", "clamp"))
         if iters < 1:
             raise UsageError(f"mc.iters must be >= 1, got {iters}")
+        if seed < 0:
+            raise UsageError(f"mc.seed must be >= 0, got {seed}")
         if jobs < 1:
             raise UsageError(f"mc.jobs must be >= 1, got {jobs}")
         if mode not in MODES:
@@ -243,10 +250,10 @@ def write_csv(path: Path, columns: list[str], rows: list[dict]) -> Path:
 
 def optimal_radius(cfg: RunConfig, r_min: float, r_max: float,
                    ref_radius: float) -> dict:
-    if not (1.0 < r_min and r_max >= r_min + 1.0):
-        raise UsageError("require 1 < --r-min and --r-max >= --r-min + 1 (a 1 m grid)")
-    if not ref_radius > 1.0:
-        raise UsageError(f"require ref_radius > 1, got {ref_radius:g}")
+    if not (1.0 < r_min and r_min + 1.0 <= r_max < math.inf):
+        raise UsageError("require 1 < --r-min, --r-min + 1 <= --r-max < inf (a 1 m grid)")
+    if not 1.0 < ref_radius < math.inf:
+        raise UsageError(f"require 1 < ref_radius < inf, got {ref_radius:g}")
     report = {"r_min": r_min, "r_max": r_max, "ref_radius": ref_radius,
               "variants": {}}
     params = cfg.network_params(radius=r_min)  # radius_curve sets each radius
@@ -295,8 +302,10 @@ def eta_report(cfg: RunConfig, n_points: int) -> dict:
             "search_hi": opt.search_hi, "boundary": opt.boundary,
             "extended": opt.extended,
         }
+    # the curve ends where the widest search ended, so every optimum is on it
+    search_hi = max(res["search_hi"] for res in report["variants"].values())
     etas = np.exp(np.linspace(math.log(ETA_FLOOR * params.noise_power),
-                              math.log(bound.value), n_points))
+                              math.log(search_hi), n_points))
     curve = [{"eta": float(e),
               **{v: mse_analytic(params, float(e), v).total for v in variants}}
              for e in etas]
@@ -365,7 +374,7 @@ def main(argv: list[str] | None = None) -> int:
                  for k in ("seed", "iters", "mode", "variant", "jobs", "out")}
     try:
         cfg = RunConfig.load(getattr(args, "config", None), overrides)
-    except (ValueError, OSError) as exc:  # UsageError, JSON and int() parse errors
+    except (ValueError, OSError) as exc:  # UsageError, JSON parse errors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

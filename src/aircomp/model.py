@@ -53,21 +53,21 @@ class NetworkParams:
     noise_power: float = 1.0  # omega^2 (W)
 
     def __post_init__(self):
-        if not self.density > 0:
-            raise ValueError(f"density must be > 0, got {self.density}")
-        if not self.radius > 1.0:
-            raise ValueError(
-                f"radius must exceed the 1 m no-path-loss region, got {self.radius}")
-        if not self.alpha > 0:
-            raise ValueError(f"alpha must be > 0, got {self.alpha}")
+        if not 0 < self.density < math.inf:
+            raise ValueError(f"density must lie in (0, inf), got {self.density}")
+        if not 1.0 < self.radius < math.inf:
+            raise ValueError("radius must be finite and exceed the 1 m "
+                             f"no-path-loss region, got {self.radius}")
+        if not 0 < self.alpha < math.inf:
+            raise ValueError(f"alpha must lie in (0, inf), got {self.alpha}")
         if not 0.0 <= self.epsilon <= 1.0:
             raise ValueError(f"epsilon must lie in [0, 1], got {self.epsilon}")
-        if not self.rician_b >= 0:
-            raise ValueError(f"rician_b must be >= 0, got {self.rician_b}")
-        if not self.p_max > 0:
-            raise ValueError(f"p_max must be > 0, got {self.p_max}")
-        if not self.noise_power > 0:
-            raise ValueError(f"noise_power must be > 0, got {self.noise_power}")
+        if not 0 <= self.rician_b < math.inf:
+            raise ValueError(f"rician_b must lie in [0, inf), got {self.rician_b}")
+        if not 0 < self.p_max < math.inf:
+            raise ValueError(f"p_max must lie in (0, inf), got {self.p_max}")
+        if not 0 < self.noise_power < math.inf:
+            raise ValueError(f"noise_power must lie in (0, inf), got {self.noise_power}")
 
     @property
     def mean_count(self) -> float:

@@ -205,7 +205,14 @@ def rician_ccdf(v, rp: RicianParams):
 
 
 def poisson_inverse_moment(x: float) -> float:
-    """E[1/K; K >= 1] for K ~ Poisson(x): e^{-x} sum_{m>=1} x^m / (m * m!)."""
+    """E[1/K; K >= 1] for K ~ Poisson(x): e^{-x} sum_{m>=1} x^m / (m * m!),
+    which equals e^{-x} (Ei(x) - gamma - ln x).
+
+    Up to x = 600 the convergent series is summed directly.  Above 600 the
+    part e^{-x} (gamma + ln x) is below 1e-250 and is dropped, and e^{-x}
+    Ei(x) is the asymptotic series sum_k k! / x^{k+1} (DLMF 6.12.2), cut
+    once a term falls below 1e-17 of the sum (at most nine terms there).
+    """
     if not (x > 0 and math.isfinite(x)):
         raise ValueError(f"poisson_inverse_moment requires x > 0, got {x}")
     if x <= 600.0:
@@ -221,24 +228,10 @@ def poisson_inverse_moment(x: float) -> float:
             if contrib < 1e-16 * acc and m > x:
                 break
         return math.exp(-x) * acc
-    # very large x: sum Poisson masses outward from the mode to avoid overflow
-    mode = int(x)
-    log_pmode = mode * math.log(x) - x - math.lgamma(mode + 1)
-    acc = 0.0
-    p = math.exp(log_pmode)
-    m = mode
-    while m >= 1:  # downward
-        acc += p / m
-        p *= m / x
-        m -= 1
-        if p < 1e-20 * acc * max(m, 1):
-            break
-    p = math.exp(log_pmode)
-    m = mode
-    while True:  # upward
-        m += 1
-        p *= x / m
-        acc += p / m
-        if p / m < 1e-20 * acc:
-            break
+    term = acc = 1.0 / x
+    k = 0
+    while term > 1e-17 * acc:
+        k += 1
+        term *= k / x
+        acc += term
     return acc

@@ -54,9 +54,13 @@ def brute_force_breakdown(params, eta, variant):
 
 class TestMseAnalytic:
     @pytest.mark.parametrize("variant", VARIANTS)
-    @pytest.mark.parametrize("eta", [1.0, 25.0, 400.0])
-    def test_against_nested_quadrature(self, variant, eta):
-        params = NetworkParams()
+    # alpha = 2 and 4 put power_integral's logarithmic branch (p = -1) under
+    # the capped term's r^(1 - alpha) and r^(1 - alpha / 2) respectively
+    @pytest.mark.parametrize("alpha, eta", [
+        (2.1, 1.0), (2.1, 25.0), (2.1, 400.0), (2.0, 25.0), (4.0, 25.0),
+    ], ids=["1.0", "25.0", "400.0", "alpha2-25.0", "alpha4-25.0"])
+    def test_against_nested_quadrature(self, variant, alpha, eta):
+        params = NetworkParams(alpha=alpha)
         got = mse_analytic(params, eta, variant).total
         want = brute_force_breakdown(params, eta, variant)
         assert got == pytest.approx(want, rel=1e-6)
@@ -195,6 +199,16 @@ class TestOptimizeEta:
         for factor in (0.97, 1.03):
             assert opt.mse <= mse_analytic(params, opt.eta * factor,
                                            "rederived").total + 1e-15
+
+    def test_search_extends_past_the_bound(self):
+        # at epsilon = 0 the printed optimum lies above eta_upper_bound, so
+        # the search interval is inflated once, tenfold
+        params = NetworkParams(epsilon=0.0)
+        bound = eta_upper_bound(params).value
+        opt = optimize_eta(params, "printed")
+        assert opt.extended and not opt.boundary
+        assert opt.search_hi == 10.0 * bound
+        assert bound < opt.eta < opt.search_hi
 
     def test_respects_variant(self):
         params = NetworkParams()

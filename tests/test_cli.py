@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,12 +9,12 @@ import pytest
 from aircomp import analytical, cli
 from aircomp.cli import CSV_HEADER, RunConfig, UsageError, main
 from aircomp.model import NetworkParams
+from aircomp.numerics import QuadratureError
 
 
 def write_config(tmp_path, **kw):
     config = {
-        "network": {"density": 0.05, "radius": 10.0, "alpha": 2.1,
-                    "rician_b": 15.0, "snr_db": 30.0},
+        "network": {"snr_db": 30.0},  # the reference cell, NetworkParams()
         "sweep": {"parameter": "lambda", "from": 0.02, "to": 0.05, "steps": 2},
         "eta_policy": {"fixed": 10.0},
         "mc": {"iters": 200, "seed": 7},
@@ -59,6 +60,13 @@ class TestRunConfig:
         assert cfg.mc_settings() == (10000, 0, "clamp", 2)
         assert cfg.sweep_values()[1].size == 3
 
+    def test_log_scale_grid(self):
+        cfg = RunConfig(sweep={"parameter": "lambda", "from": 0.01, "to": 1.0,
+                               "steps": 3, "log_scale": True})
+        name, values = cfg.sweep_values()
+        assert name == "lambda"
+        np.testing.assert_allclose(values, [0.01, 0.1, 1.0], rtol=1e-15)
+
     def test_conditional_variant_rejected(self, tmp_path):
         # the CLI reports the paper's two variants only
         with pytest.raises(UsageError):
@@ -92,6 +100,25 @@ class TestSweepCommand:
         assert meta["rows"] == 2
         assert meta["config"]["mc"]["iters"] == 200
         assert "wrote" in capsys.readouterr().out
+
+    def test_extended_search_is_flagged(self, tmp_path):
+        # at epsilon = 0 the printed optimum lies above eta_upper_bound
+        cfg_path = write_config(
+            tmp_path, network={"snr_db": 30.0, "epsilon": 0.0}, eta_policy={},
+            variant="printed", mc={"iters": 10, "seed": 1})
+        assert main(["sweep", "--config", str(cfg_path)]) == 0
+        with (tmp_path / "out" / "results.csv").open() as fh:
+            rows = list(csv.DictReader(fh))
+        assert all("search-extended" in row["flags"].split(";") for row in rows)
+
+    def test_numeric_failure_exits_two(self, tmp_path, monkeypatch, capsys):
+        def fail(*args, **kw):
+            raise QuadratureError("quadrature did not converge")
+
+        monkeypatch.setattr(cli, "optimize_eta", fail)
+        cfg_path = write_config(tmp_path, eta_policy={})
+        assert main(["sweep", "--config", str(cfg_path)]) == 2
+        assert "numeric failure" in capsys.readouterr().err
 
     def test_eta_sweep_uses_param_value(self, tmp_path):
         cfg_path = write_config(
@@ -143,14 +170,50 @@ class TestSweepCommand:
         ({"eta_policy": {"fix": 10.0}}, "unknown eta_policy keys: ['fix']"),
         ({"eta_policy": {"optimize": False}}, "unknown eta_policy keys: ['optimize']"),
         ({"mc": 50}, "mc must be an object"),
+        ([], "config must be a JSON object"),
+        ({"network": 5}, "network must be an object"),
+        ({"sweep": {"parameter": ["lambda"], "from": 0.02, "to": 0.05}},
+         "sweep.parameter"),
+        ({"sweep": {"parameter": "lambda", "from": 0.02, "to": 0.05,
+                    "log_scale": "no"}}, "sweep.log_scale"),
+        ({"mc": {"seed": -1}}, "mc.seed"),
+        ({"network": {"snr_db": 30.0, "radius": math.inf}}, "radius"),
+        ({"eta_policy": {"fixed": math.inf}}, "eta_policy.fixed"),
+        ({"eta_policy": {"fixed": 10 ** 400}}, "eta_policy.fixed"),
+        ({"network": {"snr_db": "30"}}, "network.snr_db"),
+        ({"network": {"snr_db": 30.0, "density": True},
+          "sweep": {"parameter": "radius", "from": 5.0, "to": 10.0}}, "network.density"),
+        ({"sweep": {"parameter": "lambda", "from": 0.02, "to": 1e400}}, "sweep.to"),
+        ({"sweep": {"parameter": "lambda", "from": "0.01", "to": 0.05}}, "sweep.from"),
+        ({"sweep": {"parameter": "lambda", "from": 0.02, "to": 0.05, "steps": 1}},
+         "steps >= 2"),
+        ({"sweep": {"parameter": "lambda", "from": 0.05, "to": 0.05}}, "from < to"),
+        ({"sweep": {"parameter": "lambda", "from": 0.0, "to": 0.05,
+                    "log_scale": True}}, "from > 0"),
+        ({"sweep": {"parameter": "eta", "from": 0.0, "to": 5.0}}, "from > 0"),
     ], ids=["iters-0", "jobs-0", "mode-bogus", "no-from", "no-to", "wavelength",
             "iters-null", "from-text", "fixed-negative", "density-negative",
             "iters-fraction", "jobs-bool", "steps-fraction", "mc-typo",
-            "sweep-typo", "eta-policy-typo", "eta-policy-optimize", "mc-not-object"])
-    def test_bad_config_is_usage_error(self, tmp_path, capsys, overrides, message):
-        cfg_path = write_config(tmp_path, **overrides)
+            "sweep-typo", "eta-policy-typo", "eta-policy-optimize", "mc-not-object",
+            "config-not-object", "network-not-object", "parameter-not-text",
+            "log-scale-not-bool", "seed-negative", "radius-infinite",
+            "fixed-infinite", "fixed-huge-int", "snr-text", "density-bool",
+            "to-overflow", "from-numeric-text", "steps-1", "from-equals-to",
+            "log-from-0", "eta-from-0"])
+    def test_bad_config_is_usage_error(self, tmp_path, capsys, no_work, overrides,
+                                       message):
+        if isinstance(overrides, dict):
+            cfg_path = write_config(tmp_path, **overrides)
+        else:  # a document that is not an object
+            cfg_path = tmp_path / "config.json"
+            cfg_path.write_text(json.dumps(overrides))
         assert main(["sweep", "--config", str(cfg_path)]) == 1
         assert message in capsys.readouterr().err
+
+    def test_negative_seed_flag_is_usage_error(self, tmp_path, capsys, no_work):
+        cfg_path = write_config(tmp_path)
+        assert main(["sweep", "--config", str(cfg_path), "--seed", "-1"]) == 1
+        assert "mc.seed" in capsys.readouterr().err
 
     def test_missing_config_file(self, tmp_path):
         assert main(["sweep", "--config", str(tmp_path / "absent.json")]) == 1
@@ -186,6 +249,21 @@ class TestEtaReportCommand:
             rows = list(csv.reader(fh))
         assert rows[0] == ["eta", "rederived"]
         assert len(rows) == 21
+
+    def test_curve_ends_where_the_search_ended(self, tmp_path):
+        # at epsilon = 0 the printed search is extended past the bound, and
+        # the curve follows it to search_hi
+        cfg_path = write_config(tmp_path, network={"snr_db": 30.0, "epsilon": 0.0},
+                                variant="printed")
+        assert main(["eta-report", "--config", str(cfg_path), "--points", "20"]) == 0
+        out_dir = tmp_path / "out"
+        res = json.loads((out_dir / "eta_report.json").read_text())
+        res = res["variants"]["printed"]
+        assert res["extended"]
+        with (out_dir / "eta_curve.csv").open() as fh:
+            etas = [float(row["eta"]) for row in csv.DictReader(fh)]
+        assert etas[-1] == pytest.approx(res["search_hi"], rel=1e-12)
+        assert etas[-1] >= res["eta_opt"]
 
     def test_no_points_is_usage_error(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path)
@@ -224,29 +302,17 @@ def radius_report(tmp_path, r_min, r_max, ref_radius):
 
 @pytest.fixture
 def no_work(monkeypatch):
-    """Make the radius search fail if it evaluates anything."""
+    """Make a command fail if it evaluates anything: an optimize_eta or an
+    estimate_mse call before its input was checked."""
     def fail(*args, **kw):
-        raise AssertionError("optimize_eta ran before the arguments were checked")
+        raise AssertionError("work ran before the input was checked")
 
     patch_optimize_eta(monkeypatch, fail)
+    monkeypatch.setattr(cli, "estimate_mse", fail)
 
 
 class TestOptimalRadiusCommand:
-    def test_narrow_bracket(self, tmp_path, capsys):
-        cfg_path = write_config(tmp_path, variant="rederived")
-        code = main(["optimal-radius", "--config", str(cfg_path),
-                     "--r-min", "11", "--r-max", "15", "--ref-radius", "5"])
-        assert code == 0
-        report = json.loads(
-            (tmp_path / "out" / "optimal_radius.json").read_text())
-        res = report["variants"]["rederived"]
-        assert 11.0 <= res["r_opt"] <= 15.0
-        assert res["mse_opt"] <= res["mse_ref"]
-        assert "R_opt" in capsys.readouterr().out
-
-    def test_optimize_eta_calls(self, tmp_path, monkeypatch):
-        # 5 grid radii, the golden section inside the grid argmin's bracket
-        # (no second scan of it) and the reference radius
+    def test_narrow_bracket(self, tmp_path, capsys, monkeypatch):
         calls = []
         optimize_eta = analytical.optimize_eta
 
@@ -255,9 +321,12 @@ class TestOptimalRadiusCommand:
             return optimize_eta(*args, **kw)
 
         patch_optimize_eta(monkeypatch, counted)
-        cfg_path = write_config(tmp_path, variant="rederived")
-        assert main(["optimal-radius", "--config", str(cfg_path),
-                     "--r-min", "11", "--r-max", "15", "--ref-radius", "5"]) == 0
+        res = radius_report(tmp_path, "11", "15", "5")
+        assert 11.0 <= res["r_opt"] <= 15.0
+        assert res["mse_opt"] <= res["mse_ref"]
+        assert "R_opt" in capsys.readouterr().out
+        # 5 grid radii, the golden section inside the grid argmin's bracket
+        # (no second scan of it) and the reference radius
         assert len(calls) <= 5 + 20 + 1
 
     def test_ref_radius_on_the_grid_reads_the_grid(self, tmp_path, parabola):
@@ -283,8 +352,8 @@ class TestOptimalRadiusCommand:
 
     def test_invalid_bracket_is_usage_error(self, tmp_path, capsys, no_work):
         cfg_path = write_config(tmp_path)
-        # reversed, and under 1 m wide: a grid of one radius
-        for r_min, r_max in (("10", "5"), ("11", "11.5")):
+        # reversed, under 1 m wide (a grid of one radius), and unbounded
+        for r_min, r_max in (("10", "5"), ("11", "11.5"), ("5", "inf")):
             assert main(["optimal-radius", "--config", str(cfg_path),
                          "--r-min", r_min, "--r-max", r_max]) == 1
             err = capsys.readouterr().err
@@ -292,9 +361,10 @@ class TestOptimalRadiusCommand:
 
     def test_ref_radius_checked_before_any_work(self, tmp_path, capsys, no_work):
         cfg_path = write_config(tmp_path)
-        assert main(["optimal-radius", "--config", str(cfg_path), "--r-min", "11",
-                     "--r-max", "12", "--ref-radius", "0.5"]) == 1
-        assert "ref_radius" in capsys.readouterr().err
+        for ref_radius in ("0.5", "inf"):
+            assert main(["optimal-radius", "--config", str(cfg_path), "--r-min", "11",
+                         "--r-max", "12", "--ref-radius", ref_radius]) == 1
+            assert "ref_radius" in capsys.readouterr().err
 
 
 class TestValidateCommand:

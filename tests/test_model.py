@@ -39,7 +39,9 @@ class TestNetworkParams:
     @pytest.mark.parametrize("field,value", [
         ("density", 0.0), ("radius", 1.0), ("alpha", -1.0),
         ("epsilon", 1.5), ("rician_b", -0.1), ("p_max", 0.0),
-        ("noise_power", 0.0),
+        ("noise_power", 0.0), ("density", math.inf), ("radius", math.inf),
+        ("alpha", math.inf), ("epsilon", math.inf), ("rician_b", math.inf),
+        ("p_max", math.inf), ("noise_power", math.inf),
     ])
     def test_validation(self, field, value):
         with pytest.raises(ValueError):

@@ -219,6 +219,20 @@ class TestPoissonInverseMoment:
         ident = math.exp(-x) * (special.expi(x) - np.euler_gamma - math.log(x))
         assert poisson_inverse_moment(x) == pytest.approx(ident, rel=1e-10)
 
+    # e^{-x} (Ei(x) - gamma - ln x) to 50 digits, computed once with mpmath
+    # (mp.dps = 60: exp(-x) * (ei(x) - euler - log(x))).  scipy is no oracle
+    # here: its PMF sum is off by 9e-14 to 5.5e-10, and exp(-x) * expi(x)
+    # overflows to nan from x = 1e3.
+    @pytest.mark.parametrize("x, want", [
+        (600.5, "0.0016680613707521222928437027527398331069902209994598"),
+        (1e3, "0.0010010020060241207250806865492021171280505718200456"),
+        (1e4, "0.00010001000200060024012007205044035632432796476251752"),
+        (1e5, "0.00001000010000200006000240012000720050404032362916292"),
+        (1e6, "0.0000010000010000020000060000240001200007200050400403204"),
+    ], ids=["600.5", "1e3", "1e4", "1e5", "1e6"])
+    def test_asymptotic_branch_against_50_digit_values(self, x, want):
+        assert poisson_inverse_moment(x) == pytest.approx(float(want), rel=1e-14, abs=0)
+
     def test_bounds(self):
         for x in (0.01, 0.1, 1.0, 10.0, 100.0, 700.0):
             val = poisson_inverse_moment(x)
