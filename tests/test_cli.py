@@ -312,7 +312,15 @@ def no_work(monkeypatch):
 
 
 class TestOptimalRadiusCommand:
-    def test_narrow_bracket(self, tmp_path, capsys, monkeypatch):
+    def test_narrow_bracket(self, tmp_path, capsys):
+        res = radius_report(tmp_path, "11", "15", "5")
+        assert 11.0 <= res["r_opt"] <= 15.0
+        assert res["mse_opt"] <= res["mse_ref"]
+        assert "R_opt" in capsys.readouterr().out
+
+    def test_optimize_eta_calls(self, tmp_path, monkeypatch):
+        # 5 grid radii, the golden section inside the grid argmin's bracket
+        # (no second scan of it) and the reference radius
         calls = []
         optimize_eta = analytical.optimize_eta
 
@@ -321,12 +329,7 @@ class TestOptimalRadiusCommand:
             return optimize_eta(*args, **kw)
 
         patch_optimize_eta(monkeypatch, counted)
-        res = radius_report(tmp_path, "11", "15", "5")
-        assert 11.0 <= res["r_opt"] <= 15.0
-        assert res["mse_opt"] <= res["mse_ref"]
-        assert "R_opt" in capsys.readouterr().out
-        # 5 grid radii, the golden section inside the grid argmin's bracket
-        # (no second scan of it) and the reference radius
+        radius_report(tmp_path, "11", "15", "5")
         assert len(calls) <= 5 + 20 + 1
 
     def test_ref_radius_on_the_grid_reads_the_grid(self, tmp_path, parabola):
