@@ -3,8 +3,7 @@
 from .analytical import (AnalyticBreakdown, EtaBound, EtaOptimum,
                          eta_star_realization, eta_upper_bound, mse_analytic,
                          optimize_eta)
-from .model import (NetworkParams, realization_rng, sample_ppp_chunks,
-                    transmit_power)
+from .model import NetworkParams, sample_ppp_chunks, transmit_power
 from .montecarlo import (CampbellReport, MseEstimate, campbell_check,
                          estimate_mse, realization_mse)
 from .numerics import integrate, minimize_unimodal

@@ -381,15 +381,15 @@ def main(argv: list[str] | None = None) -> int:
     out_dir = Path(cfg.output_dir)
     try:
         if args.command == "sweep":
-            out_dir.mkdir(parents=True, exist_ok=True)
             rows = run_sweep(cfg)
+            out_dir.mkdir(parents=True, exist_ok=True)
             path = write_csv(out_dir / "results.csv", CSV_HEADER, rows)
             _write_run_metadata(out_dir, cfg, {"rows": len(rows)})
             print(f"wrote {path} ({len(rows)} rows)")
             return 0
         if args.command == "optimal-radius":
-            out_dir.mkdir(parents=True, exist_ok=True)
             report = optimal_radius(cfg, args.r_min, args.r_max, args.ref_radius)
+            out_dir.mkdir(parents=True, exist_ok=True)
             (out_dir / "optimal_radius.json").write_text(
                 json.dumps(report, indent=2) + "\n")
             _write_run_metadata(out_dir, cfg, {})
@@ -401,8 +401,8 @@ def main(argv: list[str] | None = None) -> int:
                       + (" [boundary]" if res["boundary_flag"] else ""))
             return 0
         if args.command == "eta-report":
-            out_dir.mkdir(parents=True, exist_ok=True)
             report = eta_report(cfg, n_points=args.points)
+            out_dir.mkdir(parents=True, exist_ok=True)
             write_csv(out_dir / "eta_curve.csv", ["eta", *cfg.variants()],
                       report["curve"])
             (out_dir / "eta_report.json").write_text(

@@ -6,7 +6,11 @@ process layouts with Rician fading inside the access disc.
 
 `sample_ppp_chunks` is the one layout sampler.  Realization i is drawn from
 its own stream, a pure function of (seed, i), so parallel and serial runs
-agree bit for bit.  A realization is a pair of aligned device arrays
+agree bit for bit.  The stream is numpy's
+Generator(PCG64(SeedSequence(seed, spawn_key=(i,)))); its starting state is
+hashed here for a block of indices at once and set on one reused PCG64,
+because building a generator per realization costs more than a small
+realization's draws.  A realization is a pair of aligned device arrays
 (distances, fadings), its slice of a chunk, with the inner-disc policy
 already applied.
 """
@@ -27,7 +31,6 @@ __all__ = [
     "NetworkParams",
     "transmit_power",
     "sample_ppp_chunks",
-    "realization_rng",
 ]
 
 # Inner-disc policies for devices within 1 m of the access point.
@@ -128,41 +131,50 @@ def sample_ppp_chunks(params: NetworkParams, seed: int, start: int, stop: int,
                       mode: str) -> Iterator[tuple[np.ndarray, np.ndarray, list[int]]]:
     """Realizations start .. stop - 1 of the (seed, i) streams, in chunks.
 
-    Realization i draws, from realization_rng(seed, i) and in this order,
-    its device count K ~ Poisson(lambda pi R^2), K uniforms for the radii
-    and K + K standard normals for the fading; then the inner-disc policy
-    `mode` is applied.  The raw draws of consecutive realizations are
-    collected until a chunk holds CHUNK_DEVICES devices; the transform and
-    the policy then run once on the whole chunk.  Yields (distances,
-    fadings, bounds): realization j of the chunk owns the devices
-    bounds[j] .. bounds[j + 1] - 1, and an empty one owns none.
+    Realization i draws, from the stream of SeedSequence(seed,
+    spawn_key=(i,)) and in this order, its device count K ~ Poisson(lambda
+    pi R^2), K uniforms for the radii and K + K standard normals for the
+    fading; then the inner-disc policy `mode` is applied.  The raw draws of
+    consecutive realizations are collected until a chunk holds
+    CHUNK_DEVICES devices; the transform and the policy then run once on the
+    whole chunk.  Yields (distances, fadings, bounds): realization j of the
+    chunk owns the devices bounds[j] .. bounds[j + 1] - 1, and an empty one
+    owns none.  A bad mode, start or seed raises before any draw, as
+    SeedSequence would: TypeError for a seed that is not an int, ValueError
+    for a negative seed or start.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    return _chunks(params, seed, start, stop, mode)
+    if start < 0:
+        raise ValueError(f"start must be >= 0, got {start}")
+    states = _stream_states(_seed_words(seed), start, stop)
+    return _chunks(params, states, start, stop, mode)
 
 
-def _chunks(params: NetworkParams, seed: int, start: int, stop: int, mode: str):
-    """The generator behind sample_ppp_chunks, which checks mode first."""
+def _chunks(params: NetworkParams, states, start: int, stop: int, mode: str):
+    """The generator behind sample_ppp_chunks, which checks its input first."""
     mean_count, rp = params.mean_count, params.rician()
+    rng = np.random.Generator(np.random.PCG64(0))
     i = start
     while i < stop:
-        u, g, bounds = _draw_chunk(seed, i, stop, mean_count)
+        u, g, bounds = _draw_chunk(rng, states, mean_count)
         i += len(bounds) - 1
         yield _inner_disc_policy(*_disc_devices(params, rp, u, g), bounds, mode)
 
 
-def _draw_chunk(seed: int, start: int, stop: int, mean_count: float):
-    """Raw draws of realizations start, start + 1, ... until they hold
-    CHUNK_DEVICES devices or reach stop, joined: (u, g, bounds).  The
-    per-realization arrays are freed on return, before the chunk is used.
+def _draw_chunk(rng: np.random.Generator, states, mean_count: float):
+    """Raw draws of the next realizations of states, each set on rng's
+    PCG64 in turn, until they hold CHUNK_DEVICES devices or states runs
+    out, joined: (u, g, bounds).  The per-realization arrays are freed on
+    return, before the chunk is used.
 
     rng.random(k) is rng.uniform(size=k) bit for bit without uniform's
     argument handling, and a (2, k) draw is two draws of k in stream order.
     """
+    bit_generator = rng.bit_generator
     us, gs, bounds = [], [], [0]
-    for i in range(start, stop):
-        rng = realization_rng(seed, i)
+    for state in states:
+        bit_generator.state = state
         k = rng.poisson(mean_count)
         us.append(rng.random(k))
         gs.append(rng.standard_normal((2, k)))
@@ -172,8 +184,100 @@ def _draw_chunk(seed: int, start: int, stop: int, mean_count: float):
     return np.concatenate(us), np.concatenate(gs, axis=1), bounds
 
 
-def realization_rng(seed: int, index: int) -> np.random.Generator:
-    """Per-iteration random stream, a pure function of (seed, index): the
-    stream numpy's default_rng(SeedSequence(seed, spawn_key=(index,))) gives."""
-    return np.random.Generator(np.random.PCG64(
-        np.random.SeedSequence(seed, spawn_key=(index,))))
+# numpy's SeedSequence (pool of 4 32-bit words, hashmix and mix constants)
+# and PCG64 seeding (pcg64_set_seed: the 128-bit LCG multiplier).
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+# Indices whose states are hashed at once.  A power of two that divides
+# 2^32, so that the indices of a block share every 32-bit word but the
+# lowest, and with it SeedSequence's word count.
+_HASH_BLOCK = 1024
+
+
+def _words(n: int) -> list[int]:
+    """A non-negative int as SeedSequence splits it: 32-bit words, least
+    significant first, and [0] for 0."""
+    words = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+def _seed_words(seed: int) -> list[int]:
+    """The seed's entropy words, padded with zeros to the pool size as
+    SeedSequence pads them when it has a spawn key; raises its errors."""
+    if not isinstance(seed, (int, np.integer)):
+        raise TypeError(f"seed must be an int, got {seed!r}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    words = _words(int(seed))
+    return words + [0] * (_POOL_SIZE - len(words))
+
+
+def _hashmix(value: np.ndarray, const: int,
+             mult: int = _MULT_A) -> tuple[np.ndarray, int]:
+    """SeedSequence's hashmix on uint32 arrays (which wrap as uint32_t
+    does): the hashed value and the next hash constant."""
+    next_const = const * mult & _MASK32
+    value = (value ^ const) * next_const
+    return value ^ value >> 16, next_const
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's mix of two uint32 arrays."""
+    result = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return result ^ result >> 16
+
+
+def _mix_entropy(entropy: list[np.ndarray]) -> list[np.ndarray]:
+    """SeedSequence.mix_entropy on words that are uint32 arrays: hash the
+    first words into the pool, mix the pool words into each other, then mix
+    each remaining word into every pool word."""
+    pool, const = [], _INIT_A
+    for word in entropy[:_POOL_SIZE]:
+        hashed, const = _hashmix(word, const)
+        pool.append(hashed)
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                hashed, const = _hashmix(pool[src], const)
+                pool[dst] = _mix(pool[dst], hashed)
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            hashed, const = _hashmix(word, const)
+            pool[dst] = _mix(pool[dst], hashed)
+    return pool
+
+
+def _stream_states(seed_words: list[int], start: int, stop: int):
+    """PCG64(SeedSequence(seed, spawn_key=(i,))).state for i = start .. stop
+    - 1, lazily.  A block of indices runs mix_entropy on the entropy words
+    [seed words, i's words] and generate_state(4, uint64) as uint32 array
+    code; PCG64 then seeds its 128-bit LCG with s, the first two 64-bit
+    words, and t, the last two."""
+    seed = [np.array([w], np.uint32) for w in seed_words]
+    a = start
+    while a < stop:
+        b = min(stop, (a // _HASH_BLOCK + 1) * _HASH_BLOCK)
+        low = np.arange(b - a, dtype=np.uint32) + (a & _MASK32)
+        high = [np.array([w], np.uint32) for w in _words(a)[1:]]
+        pool = _mix_entropy(seed + [low] + high)
+        # generate_state: eight 32-bit words, read as four little-endian
+        # 64-bit words
+        out, const = [], _INIT_B
+        for j in range(8):
+            hashed, const = _hashmix(pool[j % _POOL_SIZE], const, _MULT_B)
+            out.append(hashed)
+        words = np.stack(out, axis=1).astype("<u4").view("<u8")
+        for s_hi, s_lo, t_hi, t_lo in words.tolist():
+            inc = (t_hi << 65 | t_lo << 1 | 1) & _MASK128
+            state = (inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc & _MASK128
+            yield {"bit_generator": "PCG64",
+                   "state": {"state": state, "inc": inc},
+                   "has_uint32": 0, "uinteger": 0}
+        a = b

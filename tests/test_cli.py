@@ -218,6 +218,17 @@ class TestSweepCommand:
     def test_missing_config_file(self, tmp_path):
         assert main(["sweep", "--config", str(tmp_path / "absent.json")]) == 1
 
+    @pytest.mark.parametrize("command, config", [
+        ("sweep", {}),
+        ("eta-report", {"network": {"radius": 0.5}}),
+    ], ids=["sweep-no-sweep-section", "eta-report-bad-radius"])
+    def test_usage_error_creates_no_output_dir(self, tmp_path, command, config):
+        out_dir = tmp_path / "out"
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({**config, "output_dir": str(out_dir)}))
+        assert main([command, "--config", str(cfg_path)]) == 1
+        assert not out_dir.exists()
+
     def test_unknown_flag_exits_one(self):
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--nonsense"])

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from aircomp import model
 from aircomp.model import MODES, NetworkParams, sample_ppp_chunks, transmit_power
 from aircomp.numerics import integrate
 from aircomp.specfun import rician_ccdf
@@ -176,3 +179,62 @@ class TestSamplePpp:
             assert bounds == [0, want_d.size]
             assert np.array_equal(d, want_d)
             assert np.array_equal(h, want_h)
+
+
+def numpy_state(seed, index):
+    return np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(index,))).state
+
+
+def states(seed, start, stop):
+    return list(model._stream_states(model._seed_words(seed), start, stop))
+
+
+# Seeds and indices of one to five 32-bit words, and blocks that straddle a
+# change of SeedSequence's word count (2^32) or a hash-block edge (1024)
+SEEDS = [0, 1, 7, 1234, 2 ** 31 + 5, 2 ** 32 - 1, 2 ** 32, 2 ** 40 + 3, 2 ** 130 + 9]
+INDICES = [10 ** 6, 2 ** 31, 2 ** 32 - 1, 2 ** 32, 2 ** 33 + 7, 2 ** 63 + 1]
+STRADDLING = [(2 ** 32 - 3, 2 ** 32 + 3), (1000, 1100)]
+
+
+class TestStreamStates:
+    """The hashed (seed, i) states are the ones numpy's SeedSequence and
+    PCG64 set."""
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_equal_numpy(self, seed):
+        assert states(seed, 0, 300) == [numpy_state(seed, i) for i in range(300)]
+        for i in INDICES:
+            assert states(seed, i, i + 1) == [numpy_state(seed, i)]
+
+    @pytest.mark.parametrize("start, stop", STRADDLING)
+    @pytest.mark.parametrize("seed", [3, 2 ** 40 + 3])
+    def test_straddling_block(self, seed, start, stop):
+        assert states(seed, start, stop) == [numpy_state(seed, i)
+                                             for i in range(start, stop)]
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(seed=st.integers(0, 2 ** 160), index=st.integers(0, 2 ** 64 - 1))
+    def test_equal_numpy_property(self, seed, index):
+        assert states(seed, index, index + 1) == [numpy_state(seed, index)]
+
+    @pytest.mark.parametrize("start, stop", STRADDLING)
+    def test_chunks_follow_stream_contract(self, start, stop):
+        p = make_params()
+        for mode in MODES:
+            got = [(d[a:b], h[a:b])
+                   for d, h, bounds in sample_ppp_chunks(p, 5, start, stop, mode)
+                   for a, b in zip(bounds, bounds[1:])]
+            assert len(got) == stop - start
+            for i, (d, h) in enumerate(got, start=start):
+                want_d, want_h = contract_devices(p, 5, i, mode)
+                assert np.array_equal(d, want_d) and np.array_equal(h, want_h)
+
+    @pytest.mark.parametrize("seed, error", [(-1, ValueError), (-2 ** 40, ValueError),
+                                             (1.5, TypeError), ("1", TypeError)])
+    def test_bad_seed_raises_before_any_draw(self, seed, error):
+        with pytest.raises(error):
+            sample_ppp_chunks(make_params(), seed, 0, 10, "clamp")
+
+    def test_negative_start_raises(self):
+        with pytest.raises(ValueError, match="start"):
+            sample_ppp_chunks(make_params(), 0, -1, 10, "clamp")

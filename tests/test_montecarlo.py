@@ -150,6 +150,16 @@ class TestEstimateMse:
         with pytest.raises(ValueError, match="unknown mode"):
             sample_ppp_chunks(params, 0, 0, 10, "square")  # before any draw
 
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    def test_bad_seed(self, n_jobs):
+        # SeedSequence's errors, raised at once: a negative seed's word split
+        # must not loop for ever
+        params = NetworkParams()
+        with pytest.raises(ValueError):
+            estimate_mse(params, 10.0, 10, seed=-1, n_jobs=n_jobs)
+        with pytest.raises(TypeError):
+            estimate_mse(params, 10.0, 10, seed=1.0, n_jobs=n_jobs)
+
 
 @settings(max_examples=40, deadline=None, database=None)
 @given(density=st.floats(1e-3, 0.1), radius=st.floats(1.05, 40.0),
