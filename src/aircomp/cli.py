@@ -111,6 +111,8 @@ class RunConfig:
                 cfg.output_dir = value
         if cfg.variant not in PAPER_VARIANTS + ("both",):
             raise UsageError(f"variant must be printed|rederived|both, got {cfg.variant}")
+        if not isinstance(cfg.output_dir, str):
+            raise UsageError(f"output_dir must be a string, got {cfg.output_dir!r}")
         if cfg.sweep:
             cfg.sweep_values()
         cfg.fixed_eta()

@@ -7,12 +7,13 @@ process layouts with Rician fading inside the access disc.
 `sample_ppp_chunks` is the one layout sampler.  Realization i is drawn from
 its own stream, a pure function of (seed, i), so parallel and serial runs
 agree bit for bit.  The stream is numpy's
-Generator(PCG64(SeedSequence(seed, spawn_key=(i,)))); its starting state is
-hashed here for a block of indices at once and set on one reused PCG64,
-because building a generator per realization costs more than a small
-realization's draws.  A realization is a pair of aligned device arrays
-(distances, fadings), its slice of a chunk, with the inner-disc policy
-already applied.
+Generator(PCG64(SeedSequence(seed, spawn_key=(i,)))).  The seed's pool is
+numpy's own, SeedSequence(seed).pool; only the mixing of i into it,
+generate_state and PCG64's seeding are restated here, for a block of indices
+at once, and each state is set on one reused PCG64, because building a
+generator per realization costs more than a small realization's draws.  A
+realization is a pair of aligned device arrays (distances, fadings), its
+slice of a chunk, with the inner-disc policy already applied.
 """
 
 from __future__ import annotations
@@ -139,15 +140,17 @@ def sample_ppp_chunks(params: NetworkParams, seed: int, start: int, stop: int,
     CHUNK_DEVICES devices; the transform and the policy then run once on the
     whole chunk.  Yields (distances, fadings, bounds): realization j of the
     chunk owns the devices bounds[j] .. bounds[j + 1] - 1, and an empty one
-    owns none.  A bad mode, start or seed raises before any draw, as
-    SeedSequence would: TypeError for a seed that is not an int, ValueError
-    for a negative seed or start.
+    owns none.  A bad mode, start or seed raises before any draw:
+    ValueError for a negative start or seed (SeedSequence's own), TypeError
+    for a seed that is not an int, such as None (OS entropy to SeedSequence).
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     if start < 0:
         raise ValueError(f"start must be >= 0, got {start}")
-    states = _stream_states(_seed_words(seed), start, stop)
+    if not isinstance(seed, (int, np.integer)):
+        raise TypeError(f"seed must be an int, got {seed!r}")
+    states = _stream_states(np.random.SeedSequence(seed), start, stop)
     return _chunks(params, states, start, stop, mode)
 
 
@@ -184,9 +187,8 @@ def _draw_chunk(rng: np.random.Generator, states, mean_count: float):
     return np.concatenate(us), np.concatenate(gs, axis=1), bounds
 
 
-# numpy's SeedSequence (pool of 4 32-bit words, hashmix and mix constants)
-# and PCG64 seeding (pcg64_set_seed: the 128-bit LCG multiplier).
-_POOL_SIZE = 4
+# numpy's SeedSequence (hashmix and mix constants) and PCG64 seeding
+# (pcg64_set_seed: the 128-bit LCG multiplier).
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
@@ -194,7 +196,7 @@ _PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
 _MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
 # Indices whose states are hashed at once.  A power of two that divides
 # 2^32, so that the indices of a block share every 32-bit word but the
-# lowest, and with it SeedSequence's word count.
+# lowest.
 _HASH_BLOCK = 1024
 
 
@@ -206,17 +208,6 @@ def _words(n: int) -> list[int]:
         n >>= 32
         words.append(n & _MASK32)
     return words
-
-
-def _seed_words(seed: int) -> list[int]:
-    """The seed's entropy words, padded with zeros to the pool size as
-    SeedSequence pads them when it has a spawn key; raises its errors."""
-    if not isinstance(seed, (int, np.integer)):
-        raise TypeError(f"seed must be an int, got {seed!r}")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-    words = _words(int(seed))
-    return words + [0] * (_POOL_SIZE - len(words))
 
 
 def _hashmix(value: np.ndarray, const: int,
@@ -234,44 +225,31 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return result ^ result >> 16
 
 
-def _mix_entropy(entropy: list[np.ndarray]) -> list[np.ndarray]:
-    """SeedSequence.mix_entropy on words that are uint32 arrays: hash the
-    first words into the pool, mix the pool words into each other, then mix
-    each remaining word into every pool word."""
-    pool, const = [], _INIT_A
-    for word in entropy[:_POOL_SIZE]:
-        hashed, const = _hashmix(word, const)
-        pool.append(hashed)
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                hashed, const = _hashmix(pool[src], const)
-                pool[dst] = _mix(pool[dst], hashed)
-    for word in entropy[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            hashed, const = _hashmix(word, const)
-            pool[dst] = _mix(pool[dst], hashed)
-    return pool
-
-
-def _stream_states(seed_words: list[int], start: int, stop: int):
+def _stream_states(seq: np.random.SeedSequence, start: int, stop: int):
     """PCG64(SeedSequence(seed, spawn_key=(i,))).state for i = start .. stop
-    - 1, lazily.  A block of indices runs mix_entropy on the entropy words
-    [seed words, i's words] and generate_state(4, uint64) as uint32 array
-    code; PCG64 then seeds its 128-bit LCG with s, the first two 64-bit
-    words, and t, the last two."""
-    seed = [np.array([w], np.uint32) for w in seed_words]
+    - 1, lazily, where seq is SeedSequence(seed).  numpy has mixed the seed
+    into seq.pool, its own pool, with 4 max(4, n) hashmix calls for n seed
+    words (4 pool hashes and 12 all-pairs mixes, then 4 per further word).
+    Only the mixing of i's words into it, for a block of indices as uint32
+    array code, and generate_state(4, uint64) are restated; PCG64 then seeds
+    its 128-bit LCG with s, the first two 64-bit words, and t, the last two."""
+    n_words = len(_words(int(seq.entropy)))
+    seed_const = _INIT_A * pow(_MULT_A, 4 * max(4, n_words), 1 << 32) & _MASK32
     a = start
     while a < stop:
         b = min(stop, (a // _HASH_BLOCK + 1) * _HASH_BLOCK)
         low = np.arange(b - a, dtype=np.uint32) + (a & _MASK32)
         high = [np.array([w], np.uint32) for w in _words(a)[1:]]
-        pool = _mix_entropy(seed + [low] + high)
+        pool, const = list(seq.pool[:, None]), seed_const
+        for word in [low] + high:
+            for dst in range(len(pool)):
+                hashed, const = _hashmix(word, const)
+                pool[dst] = _mix(pool[dst], hashed)
         # generate_state: eight 32-bit words, read as four little-endian
         # 64-bit words
         out, const = [], _INIT_B
         for j in range(8):
-            hashed, const = _hashmix(pool[j % _POOL_SIZE], const, _MULT_B)
+            hashed, const = _hashmix(pool[j % len(pool)], const, _MULT_B)
             out.append(hashed)
         words = np.stack(out, axis=1).astype("<u4").view("<u8")
         for s_hi, s_lo, t_hi, t_lo in words.tolist():

@@ -56,8 +56,9 @@ def test_runtime_imports_numpy_and_stdlib_only():
     assert not found, found
 
 
-# The per-realization stream and the Generator methods that draw from it
-SAMPLING = {"realization_rng", "poisson", "random", "uniform", "standard_normal"}
+# What builds a (seed, i) stream, and the Generator methods that draw from it
+SAMPLING = {"SeedSequence", "PCG64", "default_rng", "poisson", "random", "uniform",
+            "standard_normal"}
 
 
 def test_one_sampler():

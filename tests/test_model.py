@@ -186,12 +186,14 @@ def numpy_state(seed, index):
 
 
 def states(seed, start, stop):
-    return list(model._stream_states(model._seed_words(seed), start, stop))
+    return list(model._stream_states(np.random.SeedSequence(seed), start, stop))
 
 
-# Seeds and indices of one to five 32-bit words, and blocks that straddle a
-# change of SeedSequence's word count (2^32) or a hash-block edge (1024)
-SEEDS = [0, 1, 7, 1234, 2 ** 31 + 5, 2 ** 32 - 1, 2 ** 32, 2 ** 40 + 3, 2 ** 130 + 9]
+# Seeds and indices of one to five 32-bit words (2^128 - 1 and 2^128 are the
+# seeds either side of a four-word pool), and blocks that straddle a change
+# of SeedSequence's word count (2^32) or a hash-block edge (1024)
+SEEDS = [0, 1, 7, 1234, 2 ** 31 + 5, 2 ** 32 - 1, 2 ** 32, 2 ** 40 + 3,
+         2 ** 128 - 1, 2 ** 128, 2 ** 130 + 9]
 INDICES = [10 ** 6, 2 ** 31, 2 ** 32 - 1, 2 ** 32, 2 ** 33 + 7, 2 ** 63 + 1]
 STRADDLING = [(2 ** 32 - 3, 2 ** 32 + 3), (1000, 1100)]
 
@@ -230,7 +232,8 @@ class TestStreamStates:
                 assert np.array_equal(d, want_d) and np.array_equal(h, want_h)
 
     @pytest.mark.parametrize("seed, error", [(-1, ValueError), (-2 ** 40, ValueError),
-                                             (1.5, TypeError), ("1", TypeError)])
+                                             (1.5, TypeError), ("1", TypeError),
+                                             (None, TypeError), ([1, 2], TypeError)])
     def test_bad_seed_raises_before_any_draw(self, seed, error):
         with pytest.raises(error):
             sample_ppp_chunks(make_params(), seed, 0, 10, "clamp")
