@@ -73,9 +73,8 @@ def criterion_1() -> CriterionResult:
     for b_factor in (0.0, 1.0, 10.0, 15.0, 20.0):
         rp = RicianParams.from_b_factor(b_factor)
         hi = rp.c + 25.0 * rp.sigma
-        mass = integrate(lambda v: np.asarray(rician_pdf(v, rp)), 0.0, hi, *tol)
-        mom2 = integrate(lambda v: np.asarray(v) ** 2 * np.asarray(rician_pdf(v, rp)),
-                         0.0, hi, *tol)
+        mass = integrate(lambda v, _: rician_pdf(v, rp), 0.0, hi, *tol)
+        mom2 = integrate(lambda v, _: v ** 2 * rician_pdf(v, rp), 0.0, hi, *tol)
         if abs(mass - 1.0) > 1e-8:
             errs.append(f"pdf mass at B={b_factor} off by {abs(mass - 1):.2e}")
         if abs(mom2 - 1.0) > 1e-8:
@@ -228,8 +227,7 @@ def criterion_6() -> CriterionResult:
     log_etas = np.linspace(math.log(ETA_FLOOR * params.noise_power),
                            math.log(hi), 1000)
     etas = np.exp(log_etas)
-    mses = np.array([mse_analytic(params, float(e), "rederived").total
-                     for e in etas])
+    mses = mse_analytic(params, etas, "rederived").total
     j = int(np.argmin(mses))
     eta_oracle = _log_parabola_vertex(log_etas, mses, j)
     eta_rel = abs(opt.eta - eta_oracle) / eta_oracle

@@ -29,7 +29,8 @@ import numpy as np
 from .model import NetworkParams, transmit_power
 from .numerics import (MinimizeResult, integrate, minimize_unimodal,
                        power_integral)
-from .specfun import marcum_q1, poisson_inverse_moment, rician_pdf
+from .specfun import (RicianParams, marcum_q1, poisson_inverse_moment,
+                      rician_pdf)
 
 __all__ = [
     "PAPER_VARIANTS",
@@ -60,7 +61,7 @@ _TAIL_SIGMAS = 20.0
 # Lower end of the eta search, in units of the noise power.
 ETA_FLOOR = 1e-6
 
-# optimize_eta: golden-section tolerance in ln eta, and the factor and count
+# optimize_eta: Brent's tolerance in ln eta, and the factor and count
 # by which the search interval is inflated while the minimum sits on its top.
 _ETA_TOL = 1e-6
 _SAFETY = 10.0
@@ -78,24 +79,30 @@ class AnalyticBreakdown:
     For "conditional", with mu = lambda pi R^2 the mean device count:
     total = 2 pi lambda * (capped_term + geometry_term + marcumq_term) / mu
             + k_factor * noise_term / (1 - exp(-mu))
+
+    capped_term, marcumq_term, noise_term and total depend on eta: they are
+    floats for a float eta and arrays, one entry per eta, for an eta array.
     """
 
     k_factor: float
-    capped_term: float
+    capped_term: float | np.ndarray
     geometry_term: float
-    marcumq_term: float
-    noise_term: float
-    total: float
+    marcumq_term: float | np.ndarray
+    noise_term: float | np.ndarray
+    total: float | np.ndarray
 
 
-def _fading_cutoff(params: NetworkParams) -> float:
-    rp = params.rician()
+def _fading_cutoff(rp: RicianParams) -> float:
     return rp.c + _TAIL_SIGMAS * rp.sigma
 
 
-def mse_analytic(params: NetworkParams, eta: float,
+def mse_analytic(params: NetworkParams, eta,
                  variant: str = "rederived") -> AnalyticBreakdown:
     """Evaluate the analytical MSE at denoising factor eta.
+
+    eta is a float or a 1-D array; an array evaluates every eta in one pass,
+    each of the two integrals below running as one lockstep integrate over
+    all of them, with the same arithmetic per eta as a float eta.
 
     The capped-branch double integral over (r, v) is evaluated with the
     integration order swapped so the radial part is closed-form and a single
@@ -121,44 +128,49 @@ def mse_analytic(params: NetworkParams, eta: float,
     """
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
-    if not eta > 0:
+    etas = np.asarray(eta, dtype=float)
+    if etas.ndim > 1:
+        raise ValueError("eta must be a float or a 1-D array")
+    if not (etas > 0).all():
         raise ValueError("eta must be > 0")
     rp = params.rician()
     alpha, eps, r_max = params.alpha, params.epsilon, params.radius
     s = alpha * eps
-    ratio = math.sqrt(params.p_max / eta)  # sqrt(P_max / eta)
+    eta_1d = np.atleast_1d(etas)
+    ratio = np.sqrt(params.p_max / eta_1d)  # sqrt(P_max / eta)
+    v_hi = np.minimum(np.power(r_max, 0.5 * s) / ratio, _fading_cutoff(rp))
 
-    def d_of_r(r):
-        return np.power(r, 0.5 * s) / ratio
-
-    v_cap = _fading_cutoff(params)
-    v_hi = min(float(d_of_r(r_max)), v_cap)
-
-    def capped_integrand(v):
+    # Both integrands take, besides their nodes, each node's eta index k.
+    def capped_integrand(v, k):
         # v <= D(r)  <=>  r >= (v * ratio)^(2/s); at s = 0 (epsilon = 0) the
         # capping threshold is radius-independent and every r in [1, R] counts
-        v = np.asarray(v, dtype=float)
+        w = v * ratio[k]
         with np.errstate(over="ignore"):
-            r_lo = np.clip(np.power(v * ratio, 2.0 / s), 1.0, r_max) if s > 0 else 1.0
+            r_lo = np.clip(np.power(w, 2.0 / s), 1.0, r_max) if s > 0 else 1.0
         j1 = power_integral(r_lo, r_max, 1.0 - alpha)
         j2 = power_integral(r_lo, r_max, 1.0 - 0.5 * alpha)
-        return rician_pdf(v, rp) * (ratio ** 2 * v * v * j1
-                                    - 2.0 * ratio * v * j2)
+        # the nodes lie in [0, v_hi], so v >= 0 needs no check
+        return rician_pdf(v, rp, check=False) * (w * w * j1 - 2.0 * w * j2)
 
     capped_term = integrate(capped_integrand, 0.0, v_hi, *_FADING_TOL)
 
     kappa = 2.0 if variant == "printed" else 0.0
     a_marcum = rp.c / rp.sigma
 
-    def marcum_integrand(r):
-        r = np.asarray(r, dtype=float)
-        poly = np.power(r, s - alpha) - 2.0 * np.power(r, 0.5 * (s - alpha)) + kappa
-        return poly * r * np.asarray(marcum_q1(a_marcum, d_of_r(r) / rp.sigma))
+    ratio_sigma = ratio * rp.sigma
 
-    marcumq_term = integrate(marcum_integrand, 1.0, r_max, *_RADIAL_TOL)
+    def marcum_integrand(r, k):
+        poly = np.power(r, s - alpha) - 2.0 * np.power(r, 0.5 * (s - alpha)) + kappa
+        # D(r) / sigma = r^(s/2) / (ratio sigma) >= 0 and c / sigma >= 0
+        # need no check
+        return poly * r * marcum_q1(a_marcum, np.power(r, 0.5 * s)
+                                    / ratio_sigma[k], check=False)
+
+    marcumq_term = integrate(marcum_integrand, 1.0, np.full(ratio.size, r_max),
+                             *_RADIAL_TOL)
 
     geometry_term = 0.5 * (r_max ** 2 - 1.0)
-    noise_term = params.noise_power / eta
+    noise_term = params.noise_power / eta_1d
     mu = params.mean_count
     k_factor = poisson_inverse_moment(mu)
     misalignment = 2.0 * math.pi * params.density * (
@@ -167,11 +179,14 @@ def mse_analytic(params: NetworkParams, eta: float,
         total = misalignment / mu - k_factor * noise_term / math.expm1(-mu)
     else:
         total = k_factor * (misalignment + noise_term)
+    if etas.ndim == 0:
+        capped_term, marcumq_term, noise_term, total = (
+            float(t[0]) for t in (capped_term, marcumq_term, noise_term, total))
     return AnalyticBreakdown(
         k_factor=k_factor,
-        capped_term=float(capped_term),
+        capped_term=capped_term,
         geometry_term=geometry_term,
-        marcumq_term=float(marcumq_term),
+        marcumq_term=marcumq_term,
         noise_term=noise_term,
         total=total,
     )
@@ -180,8 +195,8 @@ def mse_analytic(params: NetworkParams, eta: float,
 def rician_mean(params: NetworkParams) -> float:
     """E[|h|] by quadrature of v f(v)."""
     rp = params.rician()
-    return integrate(lambda v: np.asarray(v) * np.asarray(rician_pdf(v, rp)),
-                     0.0, _fading_cutoff(params), *_FADING_TOL)
+    return integrate(lambda v, _: v * rician_pdf(v, rp, check=False),
+                     0.0, _fading_cutoff(rp), *_FADING_TOL)
 
 
 @dataclass(frozen=True)
@@ -256,14 +271,16 @@ class EtaOptimum:
 def optimize_eta(params: NetworkParams, variant: str = "rederived") -> EtaOptimum:
     """Minimize the analytical MSE over the denoising factor.
 
-    Searches (ETA_FLOOR * noise_power, eta_hat] on a log axis; if the minimizer
-    lands on the upper edge the interval is inflated tenfold (at most three
-    times) and the result is flagged.
+    Searches (ETA_FLOOR * noise_power, eta_hat] on a log axis: each 64-point
+    scan is one mse_analytic call on the array of its etas, then Brent's
+    method refines in ln eta.  If the minimizer lands on the upper edge the
+    interval is inflated tenfold (at most three times) and the result is
+    flagged.
     """
     lo = ETA_FLOOR * params.noise_power
     hi = eta_upper_bound(params).value
 
-    def objective(eta: float) -> float:
+    def objective(eta):
         return mse_analytic(params, eta, variant).total
 
     extended = False

@@ -2,7 +2,7 @@
 
 Subcommands:
   sweep           MSE vs a swept parameter (analytic variants + Monte Carlo)
-  optimal-radius  1 m grid of the access radius, golden refinement around its argmin
+  optimal-radius  1 m grid of the access radius, Brent refinement around its argmin
   eta-report      search-bound components and the MSE-vs-eta curve
   validate        run the full acceptance suite
 
@@ -308,10 +308,9 @@ def eta_report(cfg: RunConfig, n_points: int) -> dict:
     search_hi = max(res["search_hi"] for res in report["variants"].values())
     etas = np.exp(np.linspace(math.log(ETA_FLOOR * params.noise_power),
                               math.log(search_hi), n_points))
-    curve = [{"eta": float(e),
-              **{v: mse_analytic(params, float(e), v).total for v in variants}}
-             for e in etas]
-    report["curve"] = curve
+    totals = {v: mse_analytic(params, etas, v).total for v in variants}
+    report["curve"] = [{"eta": float(e), **{v: float(totals[v][i]) for v in variants}}
+                       for i, e in enumerate(etas)]
     return report
 
 

@@ -3,11 +3,14 @@ integral, and bounded scalar minimization.
 
 The quadrature, `integrate(f, a, b, rel_tol, abs_tol)`, is a globally
 adaptive Gauss-Kronrod (G7, K15) scheme with the embedded 7-point Gauss rule
-providing the per-panel error estimate; each bisection evaluates both halves
-in one call of the integrand, and it gives up after 2000 bisections.  The
-minimizer is one scan-then-refine search, `refine_bracket`: golden section
-in ln x between the neighbours of a grid scan's argmin.  `minimize_unimodal`
-scans 64 log-spaced points for it; the access-radius search scans a 1 m grid.
+providing the per-panel error estimate.  Array limits run many integrals in
+lockstep, each with its own panels and stopping rule: every round evaluates
+both halves of each running integral's worst panel in one call of the
+integrand, and an integral gives up after 2000 bisections.  The minimizer is
+one scan-then-refine search, `refine_bracket`: Brent's method in ln x
+between the neighbours of a grid scan's argmin, started at that argmin.
+`minimize_unimodal` scans 64 log-spaced points for it in one call of the
+objective; the access-radius search scans a 1 m grid.
 """
 
 from __future__ import annotations
@@ -58,80 +61,106 @@ _WG = np.array([
 ])
 
 
-def _gk15(f, panels: list[tuple[float, float]]) -> list[tuple[float, float]]:
+def _gk15(f, ends: np.ndarray, k: np.ndarray):
     """Gauss-Kronrod panels from one call of f on all their nodes.
 
-    panels are adjacent (a, b) intervals; returns (K15 estimate, error
-    estimate) for each.
+    ends holds the (a, b) of each panel and k the integral index of each
+    node.  Returns the K15 estimate and the error estimate of each panel.
     """
-    ends = np.array(panels, dtype=float)
-    width = ends[:, 1] - ends[:, 0]
-    half = 0.5 * width
+    half = 0.5 * (ends[:, 1] - ends[:, 0])
     mid = 0.5 * (ends[:, 0] + ends[:, 1])
     x = (mid[:, None] + half[:, None] * _XK).ravel()
-    y = np.asarray(f(x), dtype=float)
+    y = np.asarray(f(x, k), dtype=float)
     if y.shape != x.shape:
         raise ValueError(
             f"integrand must return one value per node: got shape {y.shape} "
             f"for nodes of shape {x.shape}")
-    if not np.all(np.isfinite(y)):
+    # Row sums rather than matrix products: BLAS may round a row differently
+    # with the number of rows, and a panel must not depend on its batch.
+    y = y.reshape(len(ends), _XK.size)
+    sk = (y * _WK).sum(axis=1)
+    vals = (half * sk).tolist()
+    # the positive weights carry a nan or an infinity of y into sk
+    if not all(map(math.isfinite, vals)):
+        p = next(p for p, v in enumerate(vals) if not math.isfinite(v))
         raise QuadratureError(
-            f"integrand returned a non-finite value on "
-            f"[{panels[0][0]!r}, {panels[-1][1]!r}]")
-    y = y.reshape(len(panels), _XK.size)
-    ik = half * (y @ _WK)
-    ig = half * (y[:, 1::2] @ _WG)
-    # QUADPACK-style sharpened error estimate
-    resasc = half * (np.abs(y - (ik / width)[:, None]) @ _WK)
-    out = []
-    for ik_p, ig_p, resasc_p in zip(ik.tolist(), ig.tolist(), resasc.tolist()):
+            f"integrand returned a non-finite value on [{ends[p, 0]!r}, "
+            f"{ends[p, 1]!r}] of integral {k[p * _XK.size]}")
+    ig = half * (y[:, 1::2] * _WG).sum(axis=1)
+    # QUADPACK-style sharpened error estimate; the panel mean is sk / 2
+    resasc = half * (np.abs(y - (0.5 * sk)[:, None]) * _WK).sum(axis=1)
+    errs = []
+    for ik_p, ig_p, resasc_p in zip(vals, ig.tolist(), resasc.tolist()):
         diff = abs(ik_p - ig_p)
         if resasc_p > 0 and diff > 0:
-            err = resasc_p * min(1.0, (200.0 * diff / resasc_p) ** 1.5)
+            errs.append(resasc_p * min(1.0, (200.0 * diff / resasc_p) ** 1.5))
         else:
-            err = diff
-        out.append((ik_p, err))
-    return out
+            errs.append(diff)
+    return vals, errs
 
 
-def integrate(f, a: float, b: float, rel_tol: float, abs_tol: float) -> float:
-    """Adaptive integral of f over [a, b] to within max(abs_tol, rel_tol*|I|).
+def integrate(f, a, b, rel_tol: float, abs_tol: float):
+    """Adaptive integrals of f over [a, b], each to max(abs_tol, rel_tol*|I|).
 
-    f is called on an array of nodes and must return an array of the same
-    shape: once on the 15 nodes of [a, b], then once per bisection on the
-    30 nodes of both halves of the panel with the largest error estimate.
+    a and b are floats, which give a float, or 1-D arrays (one may be a
+    float), which give the array of the m integrals over [a_i, b_i].  The
+    integrals run in lockstep: each keeps its own panels, totals and stopping
+    rule, so it makes exactly the bisections it would make alone.  f(x, k)
+    is called on an array of nodes x, k being the integral index of each
+    node, and must return an array of the same shape: once on the 15 nodes
+    of every [a_i, b_i], then once per round on the 30 nodes of both halves
+    of the panel with the largest error estimate of every integral still
+    short of its tolerance.  Each integral gives up after 2000 bisections.
     """
-    if not (math.isfinite(a) and math.isfinite(b)):
+    lo = np.asarray(a, dtype=float)
+    hi = np.asarray(b, dtype=float)
+    scalar = lo.ndim == hi.ndim == 0
+    m = max(lo.size, hi.size)
+    ends = np.empty((m, 2))
+    ends[:, 0] = lo  # a limit of more than one dimension does not broadcast
+    ends[:, 1] = hi
+    if not np.isfinite(ends).all():
         raise ValueError("integration limits must be finite")
-    if a > b:
-        raise ValueError(f"require a <= b, got a={a!r}, b={b!r}")
-    if a == b:
-        return 0.0
+    if not (ends[:, 0] <= ends[:, 1]).all():
+        i = int(np.flatnonzero(ends[:, 0] > ends[:, 1])[0])
+        raise ValueError(
+            f"require a <= b, got a={ends[i, 0]!r}, b={ends[i, 1]!r}")
 
-    ((val, err),) = _gk15(f, [(a, b)])
-    # max-heap of panels keyed by error (heapq is a min-heap; negate)
-    panels = [(-err, a, b, val, err)]
-    total = val
-    total_err = err
-    for _ in range(_MAX_SUBDIVISIONS):
-        if total_err <= max(abs_tol, rel_tol * abs(total)):
-            return total
-        _, pa, pb, pval, perr = heapq.heappop(panels)
-        pm = 0.5 * (pa + pb)
-        if pm <= pa or pm >= pb:
-            # interval no longer splittable in double precision
-            heapq.heappush(panels, (-perr, pa, pb, pval, perr))
+    totals, total_errs = _gk15(f, ends, np.arange(m).repeat(_XK.size))
+    # per integral, a max-heap of panels keyed by error (heapq is a
+    # min-heap; negate)
+    heaps = [[(-e, pa, pb, v, e)] for (pa, pb), v, e
+             in zip(ends.tolist(), totals, total_errs)]
+    running = range(m)
+    for bisections in range(_MAX_SUBDIVISIONS + 1):
+        running = [i for i in running if total_errs[i]
+                   > max(abs_tol, rel_tol * abs(totals[i]))]
+        if not running:
             break
-        (lv, le), (rv, re_) = _gk15(f, [(pa, pm), (pm, pb)])
-        total += lv + rv - pval
-        total_err += le + re_ - perr
-        heapq.heappush(panels, (-le, pa, pm, lv, le))
-        heapq.heappush(panels, (-re_, pm, pb, rv, re_))
-    if total_err <= max(abs_tol, rel_tol * abs(total)):
-        return total
-    raise QuadratureError(
-        f"quadrature did not converge after {_MAX_SUBDIVISIONS} "
-        f"subdivisions (estimate {total!r}, error bound {total_err!r})")
+        if bisections == _MAX_SUBDIVISIONS:
+            i = running[0]
+            raise QuadratureError(
+                f"quadrature of integral {i} did not converge after "
+                f"{_MAX_SUBDIVISIONS} subdivisions (estimate {totals[i]!r}, "
+                f"error bound {total_errs[i]!r})")
+        popped = [heapq.heappop(heaps[i]) for i in running]
+        halves = []
+        for i, (_, pa, pb, _, _) in zip(running, popped):
+            pm = 0.5 * (pa + pb)
+            if not pa < pm < pb:
+                raise QuadratureError(
+                    f"quadrature of integral {i} did not converge: panel "
+                    f"[{pa!r}, {pb!r}] cannot be split in double precision "
+                    f"(estimate {totals[i]!r}, error bound {total_errs[i]!r})")
+            halves += ((pa, pm), (pm, pb))
+        val, err = _gk15(f, np.array(halves),
+                         np.array(running).repeat(2 * _XK.size))
+        for j, (i, (_, _, _, pval, perr)) in enumerate(zip(running, popped)):
+            totals[i] += val[2 * j] + val[2 * j + 1] - pval
+            total_errs[i] += err[2 * j] + err[2 * j + 1] - perr
+            for h in (2 * j, 2 * j + 1):
+                heapq.heappush(heaps[i], (-err[h], *halves[h], val[h], err[h]))
+    return totals[0] if scalar else np.array(totals)
 
 
 def power_integral(lo, hi, p: float):
@@ -141,7 +170,8 @@ def power_integral(lo, hi, p: float):
     return (np.power(hi, p + 1.0) - np.power(lo, p + 1.0)) / (p + 1.0)
 
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+# Brent's golden-section step, (3 - sqrt(5)) / 2
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
 _GRID_POINTS = 64  # log-spaced scan points of minimize_unimodal
 
 
@@ -154,52 +184,84 @@ class MinimizeResult:
 
 
 def minimize_unimodal(g, lo: float, hi: float, tol: float = 1e-6) -> MinimizeResult:
-    """Minimize g over [lo, hi]: a 64-point log-spaced scan, then refine_bracket."""
+    """Minimize g over [lo, hi]: a 64-point log-spaced scan, then refine_bracket.
+
+    g is called once on the array of the scan points, returning the array of
+    their values, then on one float at a time.
+    """
     if not (0 < lo < hi):
         raise ValueError(f"require 0 < lo < hi, got lo={lo!r}, hi={hi!r}")
     xs = np.exp(np.linspace(math.log(lo), math.log(hi), _GRID_POINTS))
-    return refine_bracket(g, xs, np.array([float(g(x)) for x in xs]), tol)
+    return refine_bracket(g, xs, np.asarray(g(xs), dtype=float), tol)
 
 
 def refine_bracket(g, xs, gs, tol: float) -> MinimizeResult:
-    """Golden section in ln x around the argmin of a scan gs = g(xs).
+    """Brent's minimization in ln x around the argmin of a scan gs = g(xs).
 
     xs is increasing and positive, in any spacing, with at least two points.
-    The argmin (first on ties) and its two neighbours form the bracket, which
-    is narrowed below tol in ln x.  The result is never worse than the best
-    grid point; boundary/edge say whether that point is an end of the grid.
+    The argmin (first on ties) and its two neighbours form the bracket.
+    Brent's localmin (Brent 1973, ch. 5: parabolic steps, golden-section
+    steps where a parabola fails) starts at the argmin and narrows the
+    bracket around its best point until that point lies within tol of both
+    ends in ln x.  It only ever moves to a point no worse, so the result is
+    never worse than the best grid point; boundary/edge say whether that
+    point is an end of the grid.  g is called on one float at a time.
     """
     if not np.all(np.isfinite(gs)):
         raise ValueError("objective returned a non-finite value on the grid")
     best = int(np.argmin(gs))  # argmin takes the first (lowest-argument) tie
     last = len(gs) - 1
     edge = "low" if best == 0 else "high" if best == last else None
-    la = math.log(xs[max(best - 1, 0)])
-    lb = math.log(xs[min(best + 1, last)])
+    a = math.log(xs[max(best - 1, 0)])
+    b = math.log(xs[min(best + 1, last)])
+    x_min, g_min = float(xs[best]), float(gs[best])
 
-    # golden-section on t = log(x)
-    h = lb - la
-    c = la + (1.0 - _INV_PHI) * h
-    d = la + _INV_PHI * h
-    gc = float(g(math.exp(c)))
-    gd = float(g(math.exp(d)))
-    while h > tol:
-        if gc < gd:
-            lb, d, gd = d, c, gc
-            h = lb - la
-            c = la + (1.0 - _INV_PHI) * h
-            gc = float(g(math.exp(c)))
+    # x, w, v: the best, second-best and previous w points in t = ln x
+    x = w = v = math.log(x_min)
+    fx = fw = fv = g_min
+    d = e = 0.0  # the last step and the one before it
+    step_tol = 0.5 * tol  # shortest step (Brent's tol1; his 2 tol1 is tol)
+    while True:
+        m = 0.5 * (a + b)
+        if max(x - a, b - x) <= tol:
+            break
+        p = q = r = 0.0
+        if abs(e) > step_tol:  # parabola through x, w, v
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            else:
+                q = -q
+            r, e = e, d
+        if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):
+            d = p / q
+            u = x + d
+            if u - a < tol or b - u < tol:  # not too near an end
+                d = step_tol if x < m else -step_tol
         else:
-            la, c, gc = c, d, gd
-            h = lb - la
-            d = la + _INV_PHI * h
-            gd = float(g(math.exp(d)))
-
-    if gc < gd:
-        x_min, g_min = math.exp(c), gc
-    else:
-        x_min, g_min = math.exp(d), gd
-    # never return a point worse than the best grid point
-    if gs[best] < g_min:
-        x_min, g_min = float(xs[best]), float(gs[best])
-    return MinimizeResult(x_min=x_min, g_min=g_min, boundary=edge is not None, edge=edge)
+            e = (b if x < m else a) - x
+            d = _GOLDEN * e
+        u = x + (d if abs(d) >= step_tol else math.copysign(step_tol, d))
+        x_u = math.exp(u)
+        fu = float(g(x_u))
+        if fu <= fx:
+            if u < x:
+                b = x
+            else:
+                a = x
+            v, fv, w, fw = w, fw, x, fx
+            x, fx, x_min, g_min = u, fu, x_u, fu
+        else:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+    return MinimizeResult(x_min=x_min, g_min=g_min, boundary=edge is not None,
+                          edge=edge)

@@ -6,7 +6,7 @@ E[1/K; K >= 1], which the paper's MSE variants put on the whole bracket and
 the "conditional" variant on the noise term only.
 
 The two kernels under every analytic MSE panel cost a fixed number of numpy
-calls whatever the argument values (per block of 512 points for the Marcum
+calls whatever the argument values (per block of 128 points for the Marcum
 function): I0 is Cephes' Chebyshev form, and the Marcum series is evaluated
 for all of its terms at once as array operations.
 
@@ -62,7 +62,7 @@ _I0E_SPLIT = 8.0
 
 # marcum_q1 evaluates its (terms x points) gamma table this many points of b
 # at a time, so its temporaries stay bounded whatever the array size.
-_MARCUM_BLOCK = 512
+_MARCUM_BLOCK = 128
 
 
 def _chbevl(y: np.ndarray, coeffs: tuple[float, ...]) -> np.ndarray:
@@ -76,28 +76,29 @@ def _chbevl(y: np.ndarray, coeffs: tuple[float, ...]) -> np.ndarray:
     return 0.5 * (b0 - b2)
 
 
-def bessel_i0e(x):
+def bessel_i0e(x, check: bool = True):
     """Exponentially scaled modified Bessel function e^{-x} I0(x), x >= 0.
 
     Cephes i0e: a 30-term Chebyshev series on [0, 8] and a 25-term one in
     1/x above, each evaluated only where it has points, so the cost is fixed
-    per call and per point.
+    per call and per point.  check=False skips the check of x, for callers
+    that guarantee it.
     """
     x_arr = np.asarray(x, dtype=float)
-    if np.any(x_arr < 0):
+    if check and (x_arr < 0).any():
         raise ValueError("bessel_i0e requires x >= 0")
     out = np.empty_like(x_arr)
     small = x_arr <= _I0E_SPLIT
-    if np.any(small):
+    if small.any():
         out[small] = _chbevl(0.5 * x_arr[small] - 2.0, _I0E_A)
     large = ~small
-    if np.any(large):
+    if large.any():
         xl = x_arr[large]
         out[large] = _chbevl(32.0 / xl - 2.0, _I0E_B) / np.sqrt(xl)
     return out if isinstance(x, np.ndarray) else float(out)
 
 
-def marcum_q1(a: float, b):
+def marcum_q1(a: float, b, check: bool = True):
     """First-order Marcum Q-function Q1(a, b), clamped to [0, 1].
 
     Evaluated by the canonical mixture series
@@ -106,11 +107,12 @@ def marcum_q1(a: float, b):
     recurrence; the gamma factors for all n and all b at once from a
     cumulative product of [e^{-y}, y/1, y/2, ...] (the terms e^{-y} y^n / n!)
     and its cumulative sum, taken over blocks of b.  b may be an array.
+    check=False skips the checks of a and b, for callers that guarantee them.
     """
-    if a < 0:
+    if check and a < 0:
         raise ValueError("marcum_q1 requires a >= 0")
     b_arr = np.asarray(b, dtype=float)
-    if np.any(b_arr < 0):
+    if check and (b_arr < 0).any():
         raise ValueError("marcum_q1 requires b >= 0")
 
     y = 0.5 * b_arr * b_arr
@@ -149,7 +151,10 @@ def marcum_q1(a: float, b):
         np.divide(yb, divisors, out=gamma[1:])
         np.cumprod(gamma, axis=0, out=gamma)  # e^{-y} y^n / n!
         np.cumsum(gamma, axis=0, out=gamma)   # Q(n+1, y)
-        acc[start:start + _MARCUM_BLOCK] = weights @ gamma
+        # a column sum, not weights @ gamma: BLAS may round a column
+        # differently with the block's width
+        gamma *= weights[:, None]
+        acc[start:start + _MARCUM_BLOCK] = gamma.sum(axis=0)
     out = np.clip(acc.reshape(y.shape), 0.0, 1.0)
     out = np.where(y == 0.0, 1.0, out)  # Q1(a, 0) = 1 exactly
     return out if isinstance(b, np.ndarray) else float(out)
@@ -177,21 +182,22 @@ class RicianParams:
             raise ValueError("RicianParams violate c^2 + 2 sigma^2 = 1")
 
 
-def rician_pdf(v, rp: RicianParams):
+def rician_pdf(v, rp: RicianParams, check: bool = True):
     """Density of the fading magnitude |h| at v >= 0.
 
     (v / sigma^2) exp(-(v^2 + c^2) / (2 sigma^2)) I0(v c / sigma^2),
     evaluated through the scaled Bessel form so large Rician factors cannot
-    overflow.
+    overflow.  check=False skips the check of v, for callers that guarantee
+    it.
     """
     v_arr = np.asarray(v, dtype=float)
-    if np.any(v_arr < 0):
+    if check and (v_arr < 0).any():
         raise ValueError("rician_pdf requires v >= 0")
     s2 = rp.sigma ** 2
     z = v_arr * rp.c / s2
     # exp(-(v^2+c^2)/(2 s2)) I0(z) = exp(-(v-c)^2/(2 s2)) * e^{-z} I0(z)
     out = (v_arr / s2) * np.exp(-((v_arr - rp.c) ** 2) / (2.0 * s2)) \
-        * np.asarray(bessel_i0e(z))
+        * bessel_i0e(z, check=False)
     return out if isinstance(v, np.ndarray) else float(out)
 
 
@@ -200,7 +206,7 @@ def rician_ccdf(v, rp: RicianParams):
     v_arr = np.asarray(v, dtype=float)
     if np.any(v_arr < 0):
         raise ValueError("rician_ccdf requires v >= 0")
-    out = marcum_q1(rp.c / rp.sigma, v_arr / rp.sigma)
+    out = marcum_q1(rp.c / rp.sigma, v_arr / rp.sigma, check=False)
     return out if isinstance(v, np.ndarray) else float(out)
 
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate as sp_integrate
 
 from aircomp.analytical import (VARIANTS, eta_star_realization,
@@ -9,6 +11,7 @@ from aircomp.analytical import (VARIANTS, eta_star_realization,
                                 rician_mean)
 from aircomp.model import NetworkParams, transmit_power
 from aircomp.montecarlo import realization_mse
+from aircomp.numerics import integrate
 from aircomp.specfun import marcum_q1, poisson_inverse_moment, rician_pdf
 
 
@@ -149,6 +152,78 @@ class TestMseAnalytic:
         # B = 0 Rayleigh: E[h] = sqrt(pi)/2
         assert rician_mean(NetworkParams(rician_b=0.0)) == pytest.approx(
             math.sqrt(math.pi) / 2.0, rel=1e-8)
+
+
+# random networks for the eta-array properties: alpha = 2 puts
+# power_integral's logarithmic branch under the capped term, epsilon = 0 the
+# radius-independent cap, B = 0 Rayleigh fading
+NETWORKS = st.builds(
+    NetworkParams,
+    density=st.floats(0.005, 0.2),
+    radius=st.floats(1.5, 40.0),
+    alpha=st.just(2.0) | st.floats(2.0, 4.5),
+    epsilon=st.sampled_from([0.0, 0.5, 1.0]),
+    rician_b=st.just(0.0) | st.floats(0.0, 20.0),
+    p_max=st.floats(10.0, 1e4),
+)
+ETAS = st.lists(st.floats(-6.0, 5.0).map(lambda e: 10.0 ** e), min_size=1, max_size=5)
+
+
+class TestMseAnalyticEtaArray:
+    """An eta array evaluates every eta in one lockstep pass."""
+
+    @settings(max_examples=30, deadline=None, database=None)
+    @given(params=NETWORKS, etas=ETAS)
+    def test_matches_scalar_calls(self, params, etas):
+        for variant in VARIANTS:
+            batched = mse_analytic(params, np.array(etas), variant)
+            assert isinstance(batched.total, np.ndarray)
+            assert batched.total.shape == (len(etas),)
+            assert np.all(batched.total > 0)
+            for i, eta in enumerate(etas):
+                one = mse_analytic(params, eta, variant)
+                assert isinstance(one.total, float)
+                for field in ("capped_term", "marcumq_term", "noise_term", "total"):
+                    assert getattr(batched, field)[i] == pytest.approx(
+                        getattr(one, field), rel=1e-13, abs=0), (variant, eta, field)
+                assert (batched.k_factor, batched.geometry_term) == \
+                    (one.k_factor, one.geometry_term)
+
+    @settings(max_examples=15, deadline=None, database=None)
+    @given(params=NETWORKS, etas=ETAS)
+    def test_variant_gap_identity_per_eta(self, params, etas):
+        # printed - rederived = K * 2 pi lambda * int_1^R 2 r Q1(c/s, D(r)/s) dr
+        # at every eta, the gap integrals taken in one lockstep integrate
+        etas = np.array(etas)
+        rp = params.rician()
+        ratio = np.sqrt(params.p_max / etas)
+        s = params.alpha * params.epsilon
+        gap_integral = integrate(
+            lambda r, k: 2.0 * r * marcum_q1(
+                rp.c / rp.sigma, r ** (0.5 * s) / ratio[k] / rp.sigma),
+            1.0, np.full(etas.size, params.radius), 1e-10, 1e-14)
+        want = poisson_inverse_moment(params.mean_count) \
+            * 2.0 * math.pi * params.density * gap_integral
+        rederived = mse_analytic(params, etas, "rederived").total
+        got = mse_analytic(params, etas, "printed").total - rederived
+        # a gap below the totals' rounding (a deep Marcum tail) cancels
+        assert np.all(got >= 0)
+        assert np.all(np.abs(got - want) <= 1e-7 * want + 1e-13 * rederived)
+
+    def test_float_eta_gives_floats(self):
+        b = mse_analytic(NetworkParams(), 25.0, "rederived")
+        assert all(type(getattr(b, field)) is float for field in (
+            "k_factor", "capped_term", "geometry_term", "marcumq_term",
+            "noise_term", "total"))
+
+    def test_invalid_eta_arrays(self):
+        params = NetworkParams()
+        with pytest.raises(ValueError, match="eta must be > 0"):
+            mse_analytic(params, np.array([1.0, 0.0]))
+        with pytest.raises(ValueError, match="eta must be > 0"):
+            mse_analytic(params, np.array([1.0, np.nan]))
+        with pytest.raises(ValueError, match="1-D"):
+            mse_analytic(params, np.ones((2, 2)))
 
 
 class TestEtaUpperBound:

@@ -332,7 +332,7 @@ class TestOptimalRadiusCommand:
         assert "R_opt" in capsys.readouterr().out
 
     def test_optimize_eta_calls(self, tmp_path, monkeypatch):
-        # 5 grid radii, the golden section inside the grid argmin's bracket
+        # 5 grid radii, Brent's method inside the grid argmin's bracket
         # (no second scan of it) and the reference radius
         calls = []
         optimize_eta = analytical.optimize_eta

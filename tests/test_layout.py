@@ -93,3 +93,12 @@ def test_one_sweep():
                 if name == "estimate_mse":
                     found.append(f"{path.name}:{node.lineno} calls {name}")
     assert not found, found
+
+
+def test_one_quadrature_entry_point():
+    # numerics.integrate takes float or array limits: no batched twin of it
+    from aircomp import numerics
+    quadratures = [name for name in numerics.__all__
+                   if not isinstance(getattr(numerics, name), type)
+                   and any(word in name.lower() for word in ("integrat", "quad", "batch"))]
+    assert quadratures == ["integrate"]

@@ -145,7 +145,7 @@ class TestSamplePpp:
         sums = np.array([float(np.sum(d ** -p.alpha))
                          for d, _ in realizations(p, 13, 10_000, "annulus")])
         target = 2 * math.pi * p.density * integrate(
-            lambda r: np.asarray(r) ** (1.0 - p.alpha), 1.0, p.radius, 1e-8, 1e-12)
+            lambda r, _: np.asarray(r) ** (1.0 - p.alpha), 1.0, p.radius, 1e-8, 1e-12)
         se = sums.std(ddof=1) / math.sqrt(sums.size)
         assert abs(sums.mean() - target) <= 3.0 * se
 

@@ -43,15 +43,15 @@ def two_call_integrate_oracle(f, a, b, rel_tol, abs_tol):
 
 class TestIntegrate:
     def test_polynomial(self):
-        assert integrate(lambda x: x ** 2, 0.0, 1.0, *TOL) == pytest.approx(1 / 3, abs=1e-13)
+        assert integrate(lambda x, _: x ** 2, 0.0, 1.0, *TOL) == pytest.approx(1 / 3, abs=1e-13)
 
     def test_empty_interval(self):
-        assert integrate(lambda x: 1.0 + 0 * x, 2.0, 2.0, *TOL) == 0.0
+        assert integrate(lambda x, _: 1.0 + 0 * x, 2.0, 2.0, *TOL) == 0.0
 
     def test_exponential_closed_form(self):
         # oracle: the antiderivative -e^{-x}
         expected = 1.0 - math.exp(-50.0)
-        got = integrate(lambda x: np.exp(-x), 0.0, 50.0, *TOL)
+        got = integrate(lambda x, _: np.exp(-x), 0.0, 50.0, *TOL)
         assert got == pytest.approx(expected, abs=1e-10)
 
     @pytest.mark.parametrize("degree", [0, 3, 7, 10])
@@ -59,14 +59,14 @@ class TestIntegrate:
         coeffs = np.arange(1.0, degree + 2.0)
         exact = sum(c / (k + 1) * (2.0 ** (k + 1) - 1.0)
                     for k, c in enumerate(coeffs))
-        got = integrate(lambda x: np.polyval(coeffs[::-1], x), 1.0, 2.0, *TOL)
+        got = integrate(lambda x, _: np.polyval(coeffs[::-1], x), 1.0, 2.0, *TOL)
         assert got == pytest.approx(exact, rel=1e-14)
 
     @pytest.mark.parametrize("split", [0.3, 1.0, 2.71828])
     def test_split_additivity(self, split):
         rel_tol, abs_tol = TIGHT
 
-        def f(x):
+        def f(x, _):
             return np.exp(-x) * np.sin(3.0 * x) + x ** 2
 
         whole = integrate(f, 0.0, 3.0, *TIGHT)
@@ -75,11 +75,11 @@ class TestIntegrate:
 
     def test_reversed_limits_rejected(self):
         with pytest.raises(ValueError):
-            integrate(lambda x: x, 1.0, 0.0, *TOL)
+            integrate(lambda x, _: x, 1.0, 0.0, *TOL)
 
     def test_nan_integrand_rejected(self):
         with pytest.raises(QuadratureError):
-            integrate(lambda x: np.full_like(np.asarray(x, float), np.nan),
+            integrate(lambda x, _: np.full_like(np.asarray(x, float), np.nan),
                       0.0, 1.0, *TOL)
 
     def test_nonconvergence_raises_at_the_cap(self):
@@ -87,28 +87,61 @@ class TestIntegrate:
         # panel stays splittable, so the subdivision cap is what stops it
         calls = []
         with pytest.raises(QuadratureError, match="did not converge after 2000"):
-            integrate(lambda x: calls.append(x.size) or np.cos(1e5 * x),
+            integrate(lambda x, _: calls.append(x.size) or np.cos(1e5 * x),
                       0.0, 1e3, *TOL)
         assert len(calls) == 1 + numerics._MAX_SUBDIVISIONS == 2001
 
     def test_scalar_only_integrand_raises(self):
         # f is called on the node array and must return one value per node
         with pytest.raises(TypeError):
-            integrate(lambda x: float(x) ** 3, 0.0, 2.0, *TOL)
+            integrate(lambda x, _: float(x) ** 3, 0.0, 2.0, *TOL)
         with pytest.raises(ValueError):
-            integrate(lambda x: 1.0, 0.0, 2.0, *TOL)
+            integrate(lambda x, _: 1.0, 0.0, 2.0, *TOL)
 
     def test_one_integrand_call_per_bisection(self):
         def f(x):
             return np.sqrt(x) + 1.0 / (1e-3 + (x - 0.3) ** 2)
 
         sizes = []
-        got = integrate(lambda x: sizes.append(x.size) or f(x), 0.0, 1.0, *TIGHT)
+        got = integrate(lambda x, _: sizes.append(x.size) or f(x), 0.0, 1.0, *TIGHT)
         expected, bisections = two_call_integrate_oracle(f, 0.0, 1.0, *TIGHT)
         assert bisections >= 10
         assert len(sizes) == 1 + bisections
         assert sizes[0] == 15 and set(sizes[1:]) == {30}
         assert got == pytest.approx(expected, rel=1e-15, abs=0)
+
+    def test_array_limits_run_in_lockstep(self):
+        # three integrals, the middle one empty (a == b): each result is its
+        # own scalar integral, and each round is one integrand call on the
+        # nodes of the integrals still short of their tolerance
+        a = np.array([0.0, 0.5, 2.0])
+        b = np.array([1.0, 0.5, 3.0])
+        peaks = np.array([0.3, 0.5, 2.9])
+
+        def f(x, k):
+            return np.sqrt(x) + 1.0 / (1e-3 + (x - peaks[k]) ** 2)
+
+        sizes = []
+        got = integrate(lambda x, k: sizes.append(x.size) or f(x, k), a, b, *TIGHT)
+        assert isinstance(got, np.ndarray) and got.shape == (3,)
+        bisections = []
+        for i in range(3):
+            alone = []
+            want = integrate(lambda x, _: alone.append(x.size) or f(x, i),
+                             float(a[i]), float(b[i]), *TIGHT)
+            assert isinstance(want, float)
+            assert got[i] == pytest.approx(want, rel=1e-15, abs=0)
+            bisections.append(len(alone) - 1)
+        assert got[1] == 0.0 and bisections[1] == 0
+        assert min(bisections[0], bisections[2]) > 0
+        running = [sum(n >= r for n in bisections) for r in range(1, max(bisections) + 1)]
+        assert sizes == [15 * 3] + [30 * n for n in running]
+
+    def test_array_limits_checked(self):
+        with pytest.raises(ValueError, match="a <= b"):
+            integrate(lambda x, _: x, np.array([0.0, 2.0]), 1.0, *TOL)
+        with pytest.raises(ValueError, match="finite"):
+            integrate(lambda x, _: x, 0.0, np.array([1.0, np.inf]), *TOL)
 
 
 class TestMinimizeUnimodal:
@@ -136,7 +169,7 @@ class TestMinimizeUnimodal:
     def test_never_worse_than_grid(self):
         # wiggly objective: the result must not exceed the best pre-scan point
         def g(x):
-            return math.sin(7.0 * math.log(x)) + 0.1 * (math.log(x) - 1.0) ** 2
+            return np.sin(7.0 * np.log(x)) + 0.1 * (np.log(x) - 1.0) ** 2
 
         res = minimize_unimodal(g, 0.01, 100.0, tol=1e-6)
         xs = np.exp(np.linspace(math.log(0.01), math.log(100.0), 64))
@@ -151,12 +184,11 @@ class TestMinimizeUnimodal:
         params = NetworkParams(density=0.05, radius=15.0, alpha=2.1)
 
         def g(eta):
-            return mse_analytic(params, float(eta), "rederived").total
+            return mse_analytic(params, eta, "rederived").total
 
         res = minimize_unimodal(g, 0.1, 1000.0, tol=1e-6)
         grid = np.exp(np.linspace(math.log(0.1), math.log(1000.0), 1000))
-        vals = [g(e) for e in grid]
-        j = int(np.argmin(vals))
+        j = int(np.argmin(g(grid)))
         assert res.x_min == pytest.approx(grid[j], rel=0.01)
 
 
@@ -197,18 +229,22 @@ class TestRefineBracket:
         assert res.x_min == pytest.approx(2.8, rel=1e-6)
 
     def test_stops_at_tolerance_in_log_x(self):
-        # the 10 grid points, then the bracket [5, 7] narrowed in ln x by the
-        # golden ratio per evaluation
+        # the 10 grid points, then Brent in the bracket [5, 7] until its best
+        # point is within tol of both ends in ln x: no more evaluations than
+        # the golden section, narrowing by the golden ratio per evaluation,
+        # makes to get the bracket below tol
         calls = []
 
         def g(x):
             calls.append(x)
             return (x - 6.3) ** 2
 
-        self.refine(g, tol=1e-4)
-        steps = math.ceil(math.log(math.log(7.0 / 5.0) / 1e-4)
-                          / math.log((1.0 + math.sqrt(5.0)) / 2.0))
-        assert len(calls) == self.XS.size + 2 + steps
+        tol = 1e-4
+        res = self.refine(g, tol=tol)
+        assert abs(math.log(res.x_min / 6.3)) <= tol
+        golden_steps = math.ceil(math.log(math.log(7.0 / 5.0) / tol)
+                                 / math.log((1.0 + math.sqrt(5.0)) / 2.0))
+        assert len(calls) <= self.XS.size + 2 + golden_steps
 
     def test_non_finite_grid_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):

@@ -182,8 +182,8 @@ class TestRician:
     def test_unit_mass_and_second_moment(self, b):
         rp = RicianParams.from_b_factor(b)
         hi = rp.c + 25.0 * rp.sigma
-        mass = integrate(lambda v: np.asarray(rician_pdf(v, rp)), 0.0, hi, *TIGHT)
-        mom2 = integrate(lambda v: np.asarray(v) ** 2 * np.asarray(rician_pdf(v, rp)),
+        mass = integrate(lambda v, _: np.asarray(rician_pdf(v, rp)), 0.0, hi, *TIGHT)
+        mom2 = integrate(lambda v, _: np.asarray(v) ** 2 * np.asarray(rician_pdf(v, rp)),
                          0.0, hi, *TIGHT)
         assert mass == pytest.approx(1.0, abs=1e-9)
         assert mom2 == pytest.approx(1.0, abs=1e-8)
@@ -195,7 +195,7 @@ class TestRician:
 
     def test_ccdf_matches_pdf_quadrature(self):
         rp = RicianParams.from_b_factor(15.0)
-        cdf = integrate(lambda v: np.asarray(rician_pdf(v, rp)), 0.0, 1.0, *TIGHT)
+        cdf = integrate(lambda v, _: np.asarray(rician_pdf(v, rp)), 0.0, 1.0, *TIGHT)
         assert rician_ccdf(1.0, rp) == pytest.approx(1.0 - cdf, abs=1e-9)
 
     def test_negative_rejected(self):
