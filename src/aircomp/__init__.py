@@ -6,8 +6,8 @@ from .analytical import (AnalyticBreakdown, EtaBound, EtaOptimum,
 from .model import NetworkParams, sample_ppp_chunks, transmit_power
 from .montecarlo import (CampbellReport, MseEstimate, campbell_check,
                          estimate_mse, realization_mse)
-from .numerics import integrate, minimize_unimodal
+from .numerics import integrate
 from .specfun import (RicianParams, bessel_i0e, marcum_q1,
-                      poisson_inverse_moment, rician_ccdf, rician_pdf)
+                      poisson_inverse_moment, rician_pdf)
 
 __version__ = "0.1.0"

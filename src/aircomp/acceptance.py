@@ -17,9 +17,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .analytical import (ETA_FLOOR, VARIANTS, eta_star_realization,
-                         eta_upper_bound, mse_analytic, optimize_eta,
-                         radius_curve)
+from .analytical import (VARIANTS, eta_star_realization, eta_upper_bound,
+                         log_eta_grid, mse_analytic, optimize_eta,
+                         radius_curve, radius_grid)
 from .cli import RunConfig, main, run_sweep
 from .model import NetworkParams, sample_ppp_chunks, transmit_power
 from .montecarlo import campbell_check, realization_mse
@@ -174,7 +174,7 @@ def criterion_5() -> CriterionResult:
     msgs = []
     passed = True
     for b_factor in (10.0, 15.0, 20.0):
-        radii = np.arange(5.0, 40.0 + 1e-9, 1.0)
+        radii = radius_grid(5.0, 40.0)
         mses = radius_curve(NetworkParams(rician_b=b_factor), radii, "rederived")
         i = int(np.argmin(mses))
         interior = 0 < i < radii.size - 1
@@ -199,18 +199,18 @@ def criterion_5() -> CriterionResult:
 
 # --- criterion 6: eta optimization vs dense grid -------------------------------
 
-def _log_parabola_vertex(log_x: np.ndarray, y: np.ndarray, j: int) -> float:
-    """Minimizer of the parabola in log x through grid points j-1, j, j+1.
+def _log_parabola_vertex(x: np.ndarray, y: np.ndarray, j: int) -> float:
+    """Minimizer of the parabola in ln x through grid points j-1, j, j+1.
 
-    log_x must be evenly spaced.  At a grid end the raw grid point is
+    x must be evenly spaced in ln x.  At a grid end the raw grid point is
     returned.
     """
-    if not 0 < j < log_x.size - 1:
-        return float(np.exp(log_x[j]))
+    if not 0 < j < x.size - 1:
+        return float(x[j])
     y_lo, y_mid, y_hi = y[j - 1], y[j], y[j + 1]
-    step = log_x[j + 1] - log_x[j]
+    step = math.log(x[j + 1] / x[j])
     offset = 0.5 * step * (y_lo - y_hi) / (y_lo - 2.0 * y_mid + y_hi)
-    return float(np.exp(log_x[j] + offset))
+    return float(x[j] * math.exp(offset))
 
 
 def criterion_6() -> CriterionResult:
@@ -224,12 +224,10 @@ def criterion_6() -> CriterionResult:
     params = NetworkParams(radius=FIG3_RADIUS)
     opt = optimize_eta(params, "rederived")
     hi = opt.search_hi  # includes any documented safety inflation
-    log_etas = np.linspace(math.log(ETA_FLOOR * params.noise_power),
-                           math.log(hi), 1000)
-    etas = np.exp(log_etas)
+    etas = log_eta_grid(params, hi, 1000)
     mses = mse_analytic(params, etas, "rederived").total
     j = int(np.argmin(mses))
-    eta_oracle = _log_parabola_vertex(log_etas, mses, j)
+    eta_oracle = _log_parabola_vertex(etas, mses, j)
     eta_rel = abs(opt.eta - eta_oracle) / eta_oracle
     mse_rel = abs(opt.mse - mses[j]) / mses[j]
     contained = etas[j] <= hi

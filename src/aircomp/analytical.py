@@ -27,23 +27,23 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .model import NetworkParams, transmit_power
-from .numerics import (MinimizeResult, integrate, minimize_unimodal,
-                       power_integral)
+from .numerics import integrate, power_integral, refine_bracket
 from .specfun import (RicianParams, marcum_q1, poisson_inverse_moment,
                       rician_pdf)
 
 __all__ = [
     "PAPER_VARIANTS",
     "VARIANTS",
-    "ETA_FLOOR",
     "AnalyticBreakdown",
     "EtaBound",
     "EtaOptimum",
     "mse_analytic",
     "eta_upper_bound",
     "eta_star_realization",
+    "log_eta_grid",
     "optimize_eta",
     "radius_curve",
+    "radius_grid",
     "rician_mean",
 ]
 
@@ -58,11 +58,13 @@ _FADING_TOL = (1e-9, 1e-15)
 # against it are truncated there.
 _TAIL_SIGMAS = 20.0
 
-# Lower end of the eta search, in units of the noise power.
-ETA_FLOOR = 1e-6
+# Lower end of every eta scan, in units of the noise power.
+_ETA_FLOOR = 1e-6
 
-# optimize_eta: Brent's tolerance in ln eta, and the factor and count
-# by which the search interval is inflated while the minimum sits on its top.
+# optimize_eta: the points of each scan, Brent's tolerance in ln eta, and the
+# factor and count by which the search interval is inflated while the
+# minimum sits on its top.
+_ETA_POINTS = 64
 _ETA_TOL = 1e-6
 _SAFETY = 10.0
 _MAX_EXTENSIONS = 3
@@ -268,31 +270,51 @@ class EtaOptimum:
     extended: bool     # search interval was inflated beyond the bound
 
 
+def log_eta_grid(params: NetworkParams, eta_hi: float, n: int) -> np.ndarray:
+    """n etas evenly spaced in ln eta, from 1e-6 * noise_power to eta_hi.
+
+    The one eta scan: optimize_eta's search, eta-report's curve and the
+    acceptance suite's dense-grid oracle all run on it.
+    """
+    eta_lo = _ETA_FLOOR * params.noise_power
+    if not eta_lo < eta_hi < math.inf:
+        raise ValueError(f"eta_hi must be finite and above {eta_lo!r}, "
+                         f"got {eta_hi!r}")
+    return np.exp(np.linspace(math.log(eta_lo), math.log(eta_hi), n))
+
+
 def optimize_eta(params: NetworkParams, variant: str = "rederived") -> EtaOptimum:
     """Minimize the analytical MSE over the denoising factor.
 
-    Searches (ETA_FLOOR * noise_power, eta_hat] on a log axis: each 64-point
-    scan is one mse_analytic call on the array of its etas, then Brent's
-    method refines in ln eta.  If the minimizer lands on the upper edge the
-    interval is inflated tenfold (at most three times) and the result is
-    flagged.
+    Searches log_eta_grid(params, eta_hat, 64): the scan is one mse_analytic
+    call on the array of its etas, then Brent's method refines in ln eta.
+    If the minimum lands on the upper edge the interval is inflated tenfold
+    and scanned again (at most three times), and the result is flagged.
     """
-    lo = ETA_FLOOR * params.noise_power
     hi = eta_upper_bound(params).value
 
     def objective(eta):
         return mse_analytic(params, eta, variant).total
 
-    extended = False
-    result: MinimizeResult = minimize_unimodal(objective, lo, hi, tol=_ETA_TOL)
-    for _ in range(_MAX_EXTENSIONS):
-        if not (result.boundary and result.edge == "high"):
+    for extensions in range(_MAX_EXTENSIONS + 1):
+        if extensions:
+            hi *= _SAFETY
+        etas = log_eta_grid(params, hi, _ETA_POINTS)
+        result = refine_bracket(objective, etas, objective(etas), _ETA_TOL)
+        if result.edge != "high":
             break
-        hi *= _SAFETY
-        extended = True
-        result = minimize_unimodal(objective, lo, hi, tol=_ETA_TOL)
     return EtaOptimum(eta=result.x_min, mse=result.g_min, search_hi=hi,
-                      boundary=result.boundary, extended=extended)
+                      boundary=result.boundary, extended=extensions > 0)
+
+
+def radius_grid(r_min: float, r_max: float) -> np.ndarray:
+    """1 m steps from r_min, then r_max itself: the access-radius scan.
+
+    A fractional span keeps its last, shorter step: 11 to 12.5 gives 11, 12
+    and 12.5.
+    """
+    grid = np.arange(r_min, r_max, 1.0)
+    return np.append(grid[grid < r_max - 1e-6], r_max)
 
 
 def radius_curve(params: NetworkParams, radii, variant: str) -> np.ndarray:

@@ -29,8 +29,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analytical import (ETA_FLOOR, PAPER_VARIANTS, VARIANTS, eta_upper_bound,
-                         mse_analytic, optimize_eta, radius_curve, rician_mean)
+from .analytical import (PAPER_VARIANTS, VARIANTS, eta_upper_bound, log_eta_grid,
+                         mse_analytic, optimize_eta, radius_curve, radius_grid,
+                         rician_mean)
 from .model import MODES, NetworkParams
 from .montecarlo import estimate_mse
 from .numerics import QuadratureError, refine_bracket
@@ -259,8 +260,7 @@ def optimal_radius(cfg: RunConfig, r_min: float, r_max: float,
     report = {"r_min": r_min, "r_max": r_max, "ref_radius": ref_radius,
               "variants": {}}
     params = cfg.network_params(radius=r_min)  # radius_curve sets each radius
-    grid = np.arange(r_min, r_max, 1.0)  # 1 m steps, then r_max itself
-    grid = np.append(grid[grid < r_max - 1e-6], r_max)
+    grid = radius_grid(r_min, r_max)
     on_grid = np.flatnonzero(grid == ref_radius)
     for variant in cfg.variants():
         def mse_at(radius: float) -> float:
@@ -306,8 +306,7 @@ def eta_report(cfg: RunConfig, n_points: int) -> dict:
         }
     # the curve ends where the widest search ended, so every optimum is on it
     search_hi = max(res["search_hi"] for res in report["variants"].values())
-    etas = np.exp(np.linspace(math.log(ETA_FLOOR * params.noise_power),
-                              math.log(search_hi), n_points))
+    etas = log_eta_grid(params, search_hi, n_points)
     totals = {v: mse_analytic(params, etas, v).total for v in variants}
     report["curve"] = [{"eta": float(e), **{v: float(totals[v][i]) for v in variants}}
                        for i, e in enumerate(etas)]

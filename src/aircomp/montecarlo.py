@@ -17,6 +17,7 @@ the chunks end.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from multiprocessing import Pool
 
@@ -99,9 +100,10 @@ def estimate_mse(params: NetworkParams, eta: float, n_iter: int, seed: int,
     Iteration i samples the disc from the (seed, i) stream.  Realizations
     left with no devices by the inner-disc policy are skipped (the
     device-count expectation conditions on K >= 1) and counted out of
-    n_used.  With n_jobs > 1 each worker takes one contiguous range of
-    iterations; the ranges are joined in iteration order, so the result does
-    not depend on n_jobs.
+    n_used.  The iterations are split into n_jobs contiguous ranges, which
+    at most min(n_jobs, n_iter, cpu count) worker processes share; the
+    ranges are joined in iteration order, so the result does not depend on
+    n_jobs.
     """
     if n_iter < 1:
         raise ValueError("n_iter must be >= 1")
@@ -113,10 +115,11 @@ def estimate_mse(params: NetworkParams, eta: float, n_iter: int, seed: int,
         raise ValueError(f"unknown mode {mode!r}")
     bounds = [n_iter * j // n_jobs for j in range(n_jobs + 1)]
     ranges = [(params, eta, seed, lo, hi, mode) for lo, hi in zip(bounds, bounds[1:])]
-    if n_jobs == 1:
-        samples = _mc_range(ranges[0])
+    workers = min(n_jobs, n_iter, os.cpu_count() or 1)
+    if workers == 1:
+        samples = np.concatenate([_mc_range(r) for r in ranges])
     else:
-        with Pool(processes=n_jobs) as pool:
+        with Pool(processes=workers) as pool:
             samples = np.concatenate(pool.map(_mc_range, ranges))
     n_used = samples.size
     if n_used == 0:

@@ -1,5 +1,5 @@
 """Generic numerical kernels: adaptive 1-D quadrature, the closed-form power
-integral, and bounded scalar minimization.
+integral, and the refinement of a minimum bracketed by a scan.
 
 The quadrature, `integrate(f, a, b, rel_tol, abs_tol)`, is a globally
 adaptive Gauss-Kronrod (G7, K15) scheme with the embedded 7-point Gauss rule
@@ -7,10 +7,10 @@ providing the per-panel error estimate.  Array limits run many integrals in
 lockstep, each with its own panels and stopping rule: every round evaluates
 both halves of each running integral's worst panel in one call of the
 integrand, and an integral gives up after 2000 bisections.  The minimizer is
-one scan-then-refine search, `refine_bracket`: Brent's method in ln x
-between the neighbours of a grid scan's argmin, started at that argmin.
-`minimize_unimodal` scans 64 log-spaced points for it in one call of the
-objective; the access-radius search scans a 1 m grid.
+`refine_bracket`: Brent's method in ln x, started at the argmin of the
+caller's grid scan and kept between its two neighbours.  The scans are the
+caller's: `analytical.log_eta_grid` for eta, `analytical.radius_grid` for
+the access radius.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ __all__ = [
     "QuadratureError",
     "MinimizeResult",
     "integrate",
-    "minimize_unimodal",
     "power_integral",
     "refine_bracket",
 ]
@@ -172,7 +171,6 @@ def power_integral(lo, hi, p: float):
 
 # Brent's golden-section step, (3 - sqrt(5)) / 2
 _GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
-_GRID_POINTS = 64  # log-spaced scan points of minimize_unimodal
 
 
 @dataclass(frozen=True)
@@ -181,18 +179,6 @@ class MinimizeResult:
     g_min: float
     boundary: bool  # True when the grid argmin sat at an end of the grid
     edge: str | None = None  # "low" or "high" when boundary is True
-
-
-def minimize_unimodal(g, lo: float, hi: float, tol: float = 1e-6) -> MinimizeResult:
-    """Minimize g over [lo, hi]: a 64-point log-spaced scan, then refine_bracket.
-
-    g is called once on the array of the scan points, returning the array of
-    their values, then on one float at a time.
-    """
-    if not (0 < lo < hi):
-        raise ValueError(f"require 0 < lo < hi, got lo={lo!r}, hi={hi!r}")
-    xs = np.exp(np.linspace(math.log(lo), math.log(hi), _GRID_POINTS))
-    return refine_bracket(g, xs, np.asarray(g(xs), dtype=float), tol)
 
 
 def refine_bracket(g, xs, gs, tol: float) -> MinimizeResult:

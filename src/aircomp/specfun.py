@@ -1,7 +1,7 @@
 """Special functions for the fading and device-count statistics.
 
 The exponentially scaled modified Bessel I0, the first-order Marcum
-Q-function, the Rician magnitude PDF/CCDF, and the Poisson inverse moment
+Q-function, the Rician magnitude PDF, and the Poisson inverse moment
 E[1/K; K >= 1], which the paper's MSE variants put on the whole bracket and
 the "conditional" variant on the noise term only.
 
@@ -10,9 +10,9 @@ calls whatever the argument values (per block of 128 points for the Marcum
 function): I0 is Cephes' Chebyshev form, and the Marcum series is evaluated
 for all of its terms at once as array operations.
 
-All functions are pure.  bessel_i0e, marcum_q1 (in b), rician_pdf and
-rician_ccdf accept a scalar, which gives a float, or a numpy array, which
-gives an array of the same shape.
+All functions are pure.  bessel_i0e, marcum_q1 (in b) and rician_pdf
+accept a scalar, which gives a float, or a numpy array, which gives an array
+of the same shape.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ __all__ = [
     "bessel_i0e",
     "marcum_q1",
     "rician_pdf",
-    "rician_ccdf",
     "poisson_inverse_moment",
 ]
 
@@ -198,15 +197,6 @@ def rician_pdf(v, rp: RicianParams, check: bool = True):
     # exp(-(v^2+c^2)/(2 s2)) I0(z) = exp(-(v-c)^2/(2 s2)) * e^{-z} I0(z)
     out = (v_arr / s2) * np.exp(-((v_arr - rp.c) ** 2) / (2.0 * s2)) \
         * bessel_i0e(z, check=False)
-    return out if isinstance(v, np.ndarray) else float(out)
-
-
-def rician_ccdf(v, rp: RicianParams):
-    """P(|h| > v) = Q1(c / sigma, v / sigma)."""
-    v_arr = np.asarray(v, dtype=float)
-    if np.any(v_arr < 0):
-        raise ValueError("rician_ccdf requires v >= 0")
-    out = marcum_q1(rp.c / rp.sigma, v_arr / rp.sigma, check=False)
     return out if isinstance(v, np.ndarray) else float(out)
 
 

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -7,16 +8,19 @@ from hypothesis import strategies as st
 from scipy import integrate as sp_integrate
 
 from aircomp.analytical import (VARIANTS, eta_star_realization,
-                                eta_upper_bound, mse_analytic, optimize_eta,
-                                rician_mean)
+                                eta_upper_bound, log_eta_grid, mse_analytic,
+                                optimize_eta, rician_mean)
 from aircomp.model import NetworkParams, transmit_power
 from aircomp.montecarlo import realization_mse
 from aircomp.numerics import integrate
 from aircomp.specfun import marcum_q1, poisson_inverse_moment, rician_pdf
 
 
-def brute_force_breakdown(params, eta, variant):
-    """Nested scipy quadrature of the defining double integrals."""
+@functools.cache
+def brute_force_totals(params, eta):
+    """Nested scipy quadrature of the defining double integrals: every
+    variant's total from one capped-branch integral, which takes nearly all
+    the time, and one Marcum-weighted radial integral per constant."""
     rp = params.rician()
     s = params.alpha * params.epsilon
     ratio = math.sqrt(params.p_max / eta)
@@ -35,24 +39,30 @@ def brute_force_breakdown(params, eta, variant):
         return val
 
     capped, _ = sp_integrate.quad(capped_inner, 1.0, params.radius, limit=200)
-
-    kappa = 2.0 if variant == "printed" else 0.0
     a = rp.c / rp.sigma
 
-    def marcum_integrand(r):
-        d = r ** (0.5 * s) / ratio
-        poly = r ** (s - params.alpha) - 2.0 * r ** (0.5 * (s - params.alpha)) + kappa
-        return poly * r * float(marcum_q1(a, d / rp.sigma))
+    def marcum(kappa):
+        def integrand(r):
+            d = r ** (0.5 * s) / ratio
+            poly = r ** (s - params.alpha) - 2.0 * r ** (0.5 * (s - params.alpha)) + kappa
+            return poly * r * float(marcum_q1(a, d / rp.sigma))
 
-    marc, _ = sp_integrate.quad(marcum_integrand, 1.0, params.radius, limit=200)
+        return sp_integrate.quad(integrand, 1.0, params.radius, limit=200)[0]
+
     geom = 0.5 * (params.radius ** 2 - 1.0)
     mu = params.mean_count
     k_factor = poisson_inverse_moment(mu)
-    misalignment = 2.0 * math.pi * params.density * (capped + geom + marc)
     noise = params.noise_power / eta
-    if variant == "conditional":
-        return misalignment / mu + k_factor * noise / (1.0 - math.exp(-mu))
-    return k_factor * (misalignment + noise)
+    marc = {kappa: marcum(kappa) for kappa in (0.0, 2.0)}
+    totals = {}
+    for variant in VARIANTS:
+        kappa = 2.0 if variant == "printed" else 0.0
+        misalignment = 2.0 * math.pi * params.density * (capped + geom + marc[kappa])
+        if variant == "conditional":
+            totals[variant] = misalignment / mu + k_factor * noise / (1.0 - math.exp(-mu))
+        else:
+            totals[variant] = k_factor * (misalignment + noise)
+    return totals
 
 
 class TestMseAnalytic:
@@ -65,7 +75,7 @@ class TestMseAnalytic:
     def test_against_nested_quadrature(self, variant, alpha, eta):
         params = NetworkParams(alpha=alpha)
         got = mse_analytic(params, eta, variant).total
-        want = brute_force_breakdown(params, eta, variant)
+        want = brute_force_totals(params, eta)[variant]
         assert got == pytest.approx(want, rel=1e-6)
 
     def test_variant_gap_identity(self):
@@ -89,7 +99,7 @@ class TestMseAnalytic:
     def test_epsilon_zero_branch(self):
         params = NetworkParams(epsilon=0.0)
         got = mse_analytic(params, 25.0, "rederived").total
-        want = brute_force_breakdown(params, 25.0, "rederived")
+        want = brute_force_totals(params, 25.0)["rederived"]
         assert got == pytest.approx(want, rel=1e-6)
 
     def test_epsilon_zero_is_continuous_limit(self):
@@ -290,3 +300,30 @@ class TestOptimizeEta:
         a = optimize_eta(params, variant="printed")
         b = optimize_eta(params, variant="rederived")
         assert a.mse > b.mse  # printed carries the extra positive term
+
+    def test_matches_dense_grid_on_mse_objective(self):
+        # independent oracle: a 1000-point log grid over a bracket that can
+        # resolve the 1% tolerance
+        params = NetworkParams(density=0.05, radius=15.0, alpha=2.1)
+        opt = optimize_eta(params, "rederived")
+        grid = np.exp(np.linspace(math.log(0.1), math.log(1000.0), 1000))
+        j = int(np.argmin(mse_analytic(params, grid, "rederived").total))
+        assert opt.eta == pytest.approx(grid[j], rel=0.01)
+
+
+class TestLogEtaGrid:
+    def test_spans_floor_to_eta_hi_evenly_in_log(self):
+        params = NetworkParams(noise_power=2.0)
+        etas = log_eta_grid(params, 500.0, 64)
+        assert etas.shape == (64,)
+        assert etas[0] == pytest.approx(2e-6, rel=1e-14)
+        assert etas[-1] == pytest.approx(500.0, rel=1e-14)
+        np.testing.assert_allclose(np.diff(np.log(etas)),
+                                   math.log(500.0 / 2e-6) / 63, rtol=1e-9)
+
+    def test_eta_hi_must_exceed_the_floor(self):
+        params = NetworkParams(noise_power=2.0)
+        for eta_hi in (2e-6, 1e-6, 0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="eta_hi"):
+                log_eta_grid(params, eta_hi, 64)
+

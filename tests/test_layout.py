@@ -102,3 +102,15 @@ def test_one_quadrature_entry_point():
                    if not isinstance(getattr(numerics, name), type)
                    and any(word in name.lower() for word in ("integrat", "quad", "batch"))]
     assert quadratures == ["integrate"]
+
+
+def test_one_minimizer():
+    # numerics.refine_bracket is the one minimizer; the scans it refines are
+    # its callers' (analytical.log_eta_grid and analytical.radius_grid)
+    from aircomp import numerics
+    minimizers = [name for name in numerics.__all__
+                  if not isinstance(getattr(numerics, name), type)
+                  and (any(word in name.lower() for word in ("minimi", "optim", "refine"))
+                       or getattr(numerics, name).__annotations__.get("return")
+                       == "MinimizeResult")]
+    assert minimizers == ["refine_bracket"]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aircomp import model
+from aircomp import model, montecarlo
 from aircomp.model import NetworkParams, sample_ppp_chunks, transmit_power
 from aircomp.montecarlo import (EmptyRealizationError, campbell_check,
                                 estimate_mse, realization_mse)
@@ -114,6 +114,36 @@ class TestEstimateMse:
         serial = estimate_mse(params, 10.0, n_iter, seed=5, n_jobs=1)
         parallel = estimate_mse(params, 10.0, n_iter, seed=5, n_jobs=n_jobs)
         assert serial == parallel
+
+    @pytest.mark.parametrize("n_iter, n_jobs, cpus, workers", [
+        (10, 500, 4, 4), (3, 8, 16, 3), (400, 4, 2, 2), (400, 4, None, 1),
+    ], ids=["cpus", "iters", "jobs-over-cpus", "no-cpu-count"])
+    def test_worker_count_capped(self, monkeypatch, n_iter, n_jobs, cpus, workers):
+        # at most min(n_jobs, n_iter, cpu count) processes share the n_jobs
+        # ranges; the stand-in Pool records its size and starts nothing
+        started, mapped = [], []
+
+        class RecordingPool:
+            def __init__(self, processes):
+                started.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, func, items):
+                mapped.append(len(items))
+                return [func(item) for item in items]
+
+        monkeypatch.setattr(montecarlo, "Pool", RecordingPool)
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
+        params = NetworkParams()
+        got = estimate_mse(params, 10.0, n_iter, seed=5, n_jobs=n_jobs)
+        assert started == ([workers] if workers > 1 else [])
+        assert mapped == ([n_jobs] if workers > 1 else [])
+        assert got == estimate_mse(params, 10.0, n_iter, seed=5, n_jobs=1)
 
     @pytest.mark.parametrize("mode", ["clamp", "annulus"])
     def test_mean_over_nonempty_realizations(self, mode):

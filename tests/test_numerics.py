@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from aircomp import numerics
-from aircomp.numerics import (QuadratureError, integrate, minimize_unimodal,
-                              refine_bracket)
+from aircomp.numerics import QuadratureError, integrate, refine_bracket
 
 TOL = (1e-8, 1e-12)  # (rel_tol, abs_tol)
 TIGHT = (1e-10, 1e-14)
@@ -145,51 +144,38 @@ class TestIntegrate:
 
 
 class TestMinimizeUnimodal:
+    """Minimization over a bracket as optimize_eta runs it: g on 64 points
+    evenly spaced in ln x, then refine_bracket around the scan's argmin."""
+
+    @staticmethod
+    def minimize(g, lo, hi, tol=1e-6):
+        xs = np.exp(np.linspace(math.log(lo), math.log(hi), 64))
+        return refine_bracket(g, xs, np.array([g(x) for x in xs]), tol), xs
+
     def test_quadratic_bowl(self):
-        res = minimize_unimodal(lambda x: (x - 3.0) ** 2, 1.0, 10.0, tol=1e-8)
+        res, _ = self.minimize(lambda x: (x - 3.0) ** 2, 1.0, 10.0, tol=1e-8)
         assert res.x_min == pytest.approx(3.0, rel=1e-6)
-        assert not res.boundary
+        assert not res.boundary and res.edge is None
 
     def test_am_gm(self):
-        res = minimize_unimodal(lambda x: 1.0 / x + x, 0.1, 100.0, tol=1e-8)
+        res, _ = self.minimize(lambda x: 1.0 / x + x, 0.1, 100.0, tol=1e-8)
         assert res.x_min == pytest.approx(1.0, rel=1e-6)
+        assert not res.boundary and res.edge is None
 
     def test_boundary_flagged(self):
-        res = minimize_unimodal(lambda x: x, 1.0, 10.0)
-        assert res.boundary and res.edge == "low"
-        res = minimize_unimodal(lambda x: -x, 1.0, 10.0)
-        assert res.boundary and res.edge == "high"
-
-    def test_invalid_bracket(self):
-        with pytest.raises(ValueError):
-            minimize_unimodal(lambda x: x, 5.0, 5.0)
-        with pytest.raises(ValueError):
-            minimize_unimodal(lambda x: x, -1.0, 5.0)
+        res, xs = self.minimize(lambda x: x, 1.0, 10.0)
+        assert res.boundary and res.edge == "low" and res.x_min == xs[0]
+        res, xs = self.minimize(lambda x: -x, 1.0, 10.0)
+        assert res.boundary and res.edge == "high" and res.x_min == xs[-1]
 
     def test_never_worse_than_grid(self):
-        # wiggly objective: the result must not exceed the best pre-scan point
+        # wiggly objective: the result must not exceed the best scan point
         def g(x):
-            return np.sin(7.0 * np.log(x)) + 0.1 * (np.log(x) - 1.0) ** 2
+            return math.sin(7.0 * math.log(x)) + 0.1 * (math.log(x) - 1.0) ** 2
 
-        res = minimize_unimodal(g, 0.01, 100.0, tol=1e-6)
-        xs = np.exp(np.linspace(math.log(0.01), math.log(100.0), 64))
-        assert res.g_min <= min(g(x) for x in xs) + 1e-15
-
-    def test_matches_dense_grid_on_mse_objective(self):
-        # independent oracle: 1000-point log grid over a bracket that can
-        # resolve the 1% tolerance
-        from aircomp.analytical import mse_analytic
-        from aircomp.model import NetworkParams
-
-        params = NetworkParams(density=0.05, radius=15.0, alpha=2.1)
-
-        def g(eta):
-            return mse_analytic(params, eta, "rederived").total
-
-        res = minimize_unimodal(g, 0.1, 1000.0, tol=1e-6)
-        grid = np.exp(np.linspace(math.log(0.1), math.log(1000.0), 1000))
-        j = int(np.argmin(g(grid)))
-        assert res.x_min == pytest.approx(grid[j], rel=0.01)
+        res, xs = self.minimize(g, 0.01, 100.0, tol=1e-6)
+        assert res.g_min <= min(g(x) for x in xs)
+        assert res.g_min == g(res.x_min)
 
 
 class TestRefineBracket:
