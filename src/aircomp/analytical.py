@@ -151,8 +151,7 @@ def mse_analytic(params: NetworkParams, eta,
             r_lo = np.clip(np.power(w, 2.0 / s), 1.0, r_max) if s > 0 else 1.0
         j1 = power_integral(r_lo, r_max, 1.0 - alpha)
         j2 = power_integral(r_lo, r_max, 1.0 - 0.5 * alpha)
-        # the nodes lie in [0, v_hi], so v >= 0 needs no check
-        return rician_pdf(v, rp, check=False) * (w * w * j1 - 2.0 * w * j2)
+        return rician_pdf(v, rp) * (w * w * j1 - 2.0 * w * j2)
 
     capped_term = integrate(capped_integrand, 0.0, v_hi, *_FADING_TOL)
 
@@ -163,10 +162,8 @@ def mse_analytic(params: NetworkParams, eta,
 
     def marcum_integrand(r, k):
         poly = np.power(r, s - alpha) - 2.0 * np.power(r, 0.5 * (s - alpha)) + kappa
-        # D(r) / sigma = r^(s/2) / (ratio sigma) >= 0 and c / sigma >= 0
-        # need no check
         return poly * r * marcum_q1(a_marcum, np.power(r, 0.5 * s)
-                                    / ratio_sigma[k], check=False)
+                                    / ratio_sigma[k])
 
     marcumq_term = integrate(marcum_integrand, 1.0, np.full(ratio.size, r_max),
                              *_RADIAL_TOL)
@@ -197,7 +194,7 @@ def mse_analytic(params: NetworkParams, eta,
 def rician_mean(params: NetworkParams) -> float:
     """E[|h|] by quadrature of v f(v)."""
     rp = params.rician()
-    return integrate(lambda v, _: v * rician_pdf(v, rp, check=False),
+    return integrate(lambda v, _: v * rician_pdf(v, rp),
                      0.0, _fading_cutoff(rp), *_FADING_TOL)
 
 
@@ -304,7 +301,7 @@ def optimize_eta(params: NetworkParams, variant: str = "rederived") -> EtaOptimu
         if result.edge != "high":
             break
     return EtaOptimum(eta=result.x_min, mse=result.g_min, search_hi=hi,
-                      boundary=result.boundary, extended=extensions > 0)
+                      boundary=result.edge is not None, extended=extensions > 0)
 
 
 def radius_grid(r_min: float, r_max: float) -> np.ndarray:

@@ -36,9 +36,11 @@ from .model import MODES, NetworkParams
 from .montecarlo import estimate_mse
 from .numerics import QuadratureError, refine_bracket
 
-CSV_HEADER = ["param_value", "eta_used", "mse_analytic_printed",
-              "mse_analytic_rederived", "mse_mc_mean", "mse_mc_stderr",
-              "k_mean", "flags"]
+CSV_HEADER = ["param_value", "eta_used",
+              *(f"mse_analytic_{v}" for v in PAPER_VARIANTS),
+              "mse_mc_mean", "mse_mc_stderr", "k_mean", "flags"]
+
+_VARIANT_CHOICES = (*PAPER_VARIANTS, "both")
 
 # swept name -> the NetworkParams field it replaces (eta replaces none)
 SWEEP_PARAMETERS = {"lambda": "density", "radius": "radius",
@@ -110,8 +112,9 @@ class RunConfig:
                 cfg.variant = value
             elif key == "out":
                 cfg.output_dir = value
-        if cfg.variant not in PAPER_VARIANTS + ("both",):
-            raise UsageError(f"variant must be printed|rederived|both, got {cfg.variant}")
+        if cfg.variant not in _VARIANT_CHOICES:
+            raise UsageError(f"variant must be {'|'.join(_VARIANT_CHOICES)}, "
+                             f"got {cfg.variant}")
         if not isinstance(cfg.output_dir, str):
             raise UsageError(f"output_dir must be a string, got {cfg.output_dir!r}")
         if cfg.sweep:
@@ -128,13 +131,15 @@ class RunConfig:
         net.update(replacements)
         if "snr_db" in net and "p_max" in net:
             raise UsageError("config must give snr_db or p_max, not both")
+        snr_db = net.pop("snr_db", None)
         try:
-            snr_db = net.pop("snr_db", None)
             params = NetworkParams(**net)
             if snr_db is not None:
                 params = replace(params, p_max=params.noise_power
                                  * 10.0 ** (snr_db / 10.0))
             return params
+        except OverflowError as exc:  # only 10 ** (snr_db / 10) can overflow
+            raise UsageError(f"network.snr_db is too large, got {snr_db!r}") from exc
         except (TypeError, ValueError) as exc:
             raise UsageError(f"bad network config: {exc}") from exc
 
@@ -274,8 +279,8 @@ def optimal_radius(cfg: RunConfig, r_min: float, r_max: float,
             "mse_opt": refined.g_min,
             "mse_ref": mse_ref,
             "reduction": 1.0 - refined.g_min / mse_ref,
-            "interior": not refined.boundary,
-            "boundary_flag": refined.boundary,
+            "interior": refined.edge is None,
+            "boundary_flag": refined.edge is not None,
             "grid_radii": [float(r) for r in grid],
             "grid_mse": [float(m) for m in grid_mse],
         }
@@ -343,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="inner-disc policy (default clamp)")
             p.add_argument("--jobs", type=int,
                            help="Monte Carlo worker count (default 1)")
-        p.add_argument("--variant", choices=["printed", "rederived", "both"],
+        p.add_argument("--variant", choices=_VARIANT_CHOICES,
                        help="analytic formula variant (default both)")
         p.add_argument("--out", help="output directory (default out)")
 

@@ -100,10 +100,10 @@ def estimate_mse(params: NetworkParams, eta: float, n_iter: int, seed: int,
     Iteration i samples the disc from the (seed, i) stream.  Realizations
     left with no devices by the inner-disc policy are skipped (the
     device-count expectation conditions on K >= 1) and counted out of
-    n_used.  The iterations are split into n_jobs contiguous ranges, which
-    at most min(n_jobs, n_iter, cpu count) worker processes share; the
-    ranges are joined in iteration order, so the result does not depend on
-    n_jobs.
+    n_used.  n_jobs caps the worker processes: the iterations are split into
+    one contiguous range for each of min(n_jobs, n_iter, cpu count) workers,
+    and a single range runs in this process.  The ranges are joined in
+    iteration order, so the result does not depend on n_jobs.
     """
     if n_iter < 1:
         raise ValueError("n_iter must be >= 1")
@@ -113,11 +113,11 @@ def estimate_mse(params: NetworkParams, eta: float, n_iter: int, seed: int,
         raise ValueError("n_jobs must be >= 1")
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    bounds = [n_iter * j // n_jobs for j in range(n_jobs + 1)]
-    ranges = [(params, eta, seed, lo, hi, mode) for lo, hi in zip(bounds, bounds[1:])]
     workers = min(n_jobs, n_iter, os.cpu_count() or 1)
+    bounds = [n_iter * j // workers for j in range(workers + 1)]
+    ranges = [(params, eta, seed, lo, hi, mode) for lo, hi in zip(bounds, bounds[1:])]
     if workers == 1:
-        samples = np.concatenate([_mc_range(r) for r in ranges])
+        samples = _mc_range(ranges[0])
     else:
         with Pool(processes=workers) as pool:
             samples = np.concatenate(pool.map(_mc_range, ranges))

@@ -177,8 +177,7 @@ _GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
 class MinimizeResult:
     x_min: float
     g_min: float
-    boundary: bool  # True when the grid argmin sat at an end of the grid
-    edge: str | None = None  # "low" or "high" when boundary is True
+    edge: str | None  # "low" or "high" when the grid argmin sat at that end
 
 
 def refine_bracket(g, xs, gs, tol: float) -> MinimizeResult:
@@ -190,8 +189,8 @@ def refine_bracket(g, xs, gs, tol: float) -> MinimizeResult:
     steps where a parabola fails) starts at the argmin and narrows the
     bracket around its best point until that point lies within tol of both
     ends in ln x.  It only ever moves to a point no worse, so the result is
-    never worse than the best grid point; boundary/edge say whether that
-    point is an end of the grid.  g is called on one float at a time.
+    never worse than the best grid point; edge says whether that point is
+    an end of the grid.  g is called on one float at a time.
     """
     if not np.all(np.isfinite(gs)):
         raise ValueError("objective returned a non-finite value on the grid")
@@ -249,5 +248,4 @@ def refine_bracket(g, xs, gs, tol: float) -> MinimizeResult:
                 v, fv, w, fw = w, fw, u, fu
             elif fu <= fv or v == x or v == w:
                 v, fv = u, fu
-    return MinimizeResult(x_min=x_min, g_min=g_min, boundary=edge is not None,
-                          edge=edge)
+    return MinimizeResult(x_min=x_min, g_min=g_min, edge=edge)

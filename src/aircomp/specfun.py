@@ -75,16 +75,15 @@ def _chbevl(y: np.ndarray, coeffs: tuple[float, ...]) -> np.ndarray:
     return 0.5 * (b0 - b2)
 
 
-def bessel_i0e(x, check: bool = True):
+def bessel_i0e(x):
     """Exponentially scaled modified Bessel function e^{-x} I0(x), x >= 0.
 
     Cephes i0e: a 30-term Chebyshev series on [0, 8] and a 25-term one in
     1/x above, each evaluated only where it has points, so the cost is fixed
-    per call and per point.  check=False skips the check of x, for callers
-    that guarantee it.
+    per call and per point.  Raises ValueError if any x is negative.
     """
     x_arr = np.asarray(x, dtype=float)
-    if check and (x_arr < 0).any():
+    if (x_arr < 0).any():
         raise ValueError("bessel_i0e requires x >= 0")
     out = np.empty_like(x_arr)
     small = x_arr <= _I0E_SPLIT
@@ -97,7 +96,7 @@ def bessel_i0e(x, check: bool = True):
     return out if isinstance(x, np.ndarray) else float(out)
 
 
-def marcum_q1(a: float, b, check: bool = True):
+def marcum_q1(a: float, b):
     """First-order Marcum Q-function Q1(a, b), clamped to [0, 1].
 
     Evaluated by the canonical mixture series
@@ -106,12 +105,12 @@ def marcum_q1(a: float, b, check: bool = True):
     recurrence; the gamma factors for all n and all b at once from a
     cumulative product of [e^{-y}, y/1, y/2, ...] (the terms e^{-y} y^n / n!)
     and its cumulative sum, taken over blocks of b.  b may be an array.
-    check=False skips the checks of a and b, for callers that guarantee them.
+    Raises ValueError if a or any b is negative.
     """
-    if check and a < 0:
+    if a < 0:
         raise ValueError("marcum_q1 requires a >= 0")
     b_arr = np.asarray(b, dtype=float)
-    if check and (b_arr < 0).any():
+    if (b_arr < 0).any():
         raise ValueError("marcum_q1 requires b >= 0")
 
     y = 0.5 * b_arr * b_arr
@@ -181,22 +180,21 @@ class RicianParams:
             raise ValueError("RicianParams violate c^2 + 2 sigma^2 = 1")
 
 
-def rician_pdf(v, rp: RicianParams, check: bool = True):
+def rician_pdf(v, rp: RicianParams):
     """Density of the fading magnitude |h| at v >= 0.
 
     (v / sigma^2) exp(-(v^2 + c^2) / (2 sigma^2)) I0(v c / sigma^2),
     evaluated through the scaled Bessel form so large Rician factors cannot
-    overflow.  check=False skips the check of v, for callers that guarantee
-    it.
+    overflow.  Raises ValueError if any v is negative.
     """
     v_arr = np.asarray(v, dtype=float)
-    if check and (v_arr < 0).any():
+    if (v_arr < 0).any():
         raise ValueError("rician_pdf requires v >= 0")
     s2 = rp.sigma ** 2
     z = v_arr * rp.c / s2
     # exp(-(v^2+c^2)/(2 s2)) I0(z) = exp(-(v-c)^2/(2 s2)) * e^{-z} I0(z)
     out = (v_arr / s2) * np.exp(-((v_arr - rp.c) ** 2) / (2.0 * s2)) \
-        * bessel_i0e(z, check=False)
+        * bessel_i0e(z)
     return out if isinstance(v, np.ndarray) else float(out)
 
 

@@ -193,6 +193,7 @@ class TestSweepCommand:
         ({"sweep": {"parameter": "eta", "from": 0.0, "to": 5.0}}, "from > 0"),
         ({"output_dir": 5}, "output_dir"),
         ({"output_dir": None}, "output_dir"),
+        ({"network": {"snr_db": 4000.0}}, "network.snr_db"),
     ], ids=["iters-0", "jobs-0", "mode-bogus", "no-from", "no-to", "wavelength",
             "iters-null", "from-text", "fixed-negative", "density-negative",
             "iters-fraction", "jobs-bool", "steps-fraction", "mc-typo",
@@ -201,7 +202,8 @@ class TestSweepCommand:
             "log-scale-not-bool", "seed-negative", "radius-infinite",
             "fixed-infinite", "fixed-huge-int", "snr-text", "density-bool",
             "to-overflow", "from-numeric-text", "steps-1", "from-equals-to",
-            "log-from-0", "eta-from-0", "output-dir-number", "output-dir-null"])
+            "log-from-0", "eta-from-0", "output-dir-number", "output-dir-null",
+            "snr-overflow"])
     def test_bad_config_is_usage_error(self, tmp_path, capsys, no_work, overrides,
                                        message):
         if isinstance(overrides, dict):

@@ -114,3 +114,17 @@ def test_one_minimizer():
                        or getattr(numerics, name).__annotations__.get("return")
                        == "MinimizeResult")]
     assert minimizers == ["refine_bracket"]
+
+
+def test_no_check_flags():
+    # every function checks its input: no parameter turns the checks off
+    assert SOURCES
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                found += [f"{path.name}:{node.lineno} {node.name}"
+                          for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs)
+                          if arg.arg == "check"]
+    assert not found, found

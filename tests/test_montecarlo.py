@@ -119,8 +119,8 @@ class TestEstimateMse:
         (10, 500, 4, 4), (3, 8, 16, 3), (400, 4, 2, 2), (400, 4, None, 1),
     ], ids=["cpus", "iters", "jobs-over-cpus", "no-cpu-count"])
     def test_worker_count_capped(self, monkeypatch, n_iter, n_jobs, cpus, workers):
-        # at most min(n_jobs, n_iter, cpu count) processes share the n_jobs
-        # ranges; the stand-in Pool records its size and starts nothing
+        # min(n_jobs, n_iter, cpu count) processes, one range each; the
+        # stand-in Pool records its size and range count and starts nothing
         started, mapped = [], []
 
         class RecordingPool:
@@ -142,7 +142,7 @@ class TestEstimateMse:
         params = NetworkParams()
         got = estimate_mse(params, 10.0, n_iter, seed=5, n_jobs=n_jobs)
         assert started == ([workers] if workers > 1 else [])
-        assert mapped == ([n_jobs] if workers > 1 else [])
+        assert mapped == ([workers] if workers > 1 else [])
         assert got == estimate_mse(params, 10.0, n_iter, seed=5, n_jobs=1)
 
     @pytest.mark.parametrize("mode", ["clamp", "annulus"])

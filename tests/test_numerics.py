@@ -155,18 +155,18 @@ class TestMinimizeUnimodal:
     def test_quadratic_bowl(self):
         res, _ = self.minimize(lambda x: (x - 3.0) ** 2, 1.0, 10.0, tol=1e-8)
         assert res.x_min == pytest.approx(3.0, rel=1e-6)
-        assert not res.boundary and res.edge is None
+        assert res.edge is None
 
     def test_am_gm(self):
         res, _ = self.minimize(lambda x: 1.0 / x + x, 0.1, 100.0, tol=1e-8)
         assert res.x_min == pytest.approx(1.0, rel=1e-6)
-        assert not res.boundary and res.edge is None
+        assert res.edge is None
 
     def test_boundary_flagged(self):
         res, xs = self.minimize(lambda x: x, 1.0, 10.0)
-        assert res.boundary and res.edge == "low" and res.x_min == xs[0]
+        assert res.edge == "low" and res.x_min == xs[0]
         res, xs = self.minimize(lambda x: -x, 1.0, 10.0)
-        assert res.boundary and res.edge == "high" and res.x_min == xs[-1]
+        assert res.edge == "high" and res.x_min == xs[-1]
 
     def test_never_worse_than_grid(self):
         # wiggly objective: the result must not exceed the best scan point
@@ -189,13 +189,13 @@ class TestRefineBracket:
     def test_interior_minimum(self):
         res = self.refine(lambda x: (x - 6.3) ** 2)
         assert res.x_min == pytest.approx(6.3, rel=1e-6)
-        assert not res.boundary and res.edge is None
+        assert res.edge is None
 
     def test_boundary_flagged_at_either_end(self):
         res = self.refine(lambda x: x)
-        assert res.boundary and res.edge == "low" and res.x_min == 2.0
+        assert res.edge == "low" and res.x_min == 2.0
         res = self.refine(lambda x: -x)
-        assert res.boundary and res.edge == "high" and res.x_min == 11.0
+        assert res.edge == "high" and res.x_min == 11.0
 
     def test_never_worse_than_grid(self):
         # the wiggles put several local minima inside the argmin's bracket
@@ -208,10 +208,10 @@ class TestRefineBracket:
 
     def test_two_point_grid(self):
         res = self.refine(lambda x: (x - 2.4) ** 2, xs=np.array([2.0, 3.0]))
-        assert res.boundary and res.edge == "low"
+        assert res.edge == "low"
         assert res.x_min == pytest.approx(2.4, rel=1e-6)
         res = self.refine(lambda x: (x - 2.8) ** 2, xs=np.array([2.0, 3.0]))
-        assert res.boundary and res.edge == "high"
+        assert res.edge == "high"
         assert res.x_min == pytest.approx(2.8, rel=1e-6)
 
     def test_stops_at_tolerance_in_log_x(self):
