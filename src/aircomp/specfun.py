@@ -114,10 +114,6 @@ def marcum_q1(a: float, b):
         raise ValueError("marcum_q1 requires b >= 0")
 
     y = 0.5 * b_arr * b_arr
-    if a == 0:
-        out = np.exp(-y)
-        return out if isinstance(b, np.ndarray) else float(out)
-
     x = 0.5 * a * a
     w = math.exp(-x)          # Poisson weight e^{-x} x^n / n!
     cum_w = w

@@ -1,5 +1,6 @@
 import functools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -116,10 +117,9 @@ class TestMseAnalytic:
     def test_breakdown_reassembles(self):
         params = NetworkParams()
         b = mse_analytic(params, 25.0, "rederived")
-        total = b.k_factor * (2.0 * math.pi * params.density * (
-            b.capped_term + b.geometry_term + b.marcumq_term) + b.noise_term)
+        total = b.k_factor * (2.0 * math.pi * params.density * b.bracket
+                              + b.noise_term)
         assert b.total == pytest.approx(total, rel=1e-14)
-        assert b.geometry_term == pytest.approx(0.5 * (params.radius ** 2 - 1.0))
         assert b.noise_term == pytest.approx(params.noise_power / 25.0)
 
     def test_noise_dominates_small_eta(self):
@@ -141,8 +141,7 @@ class TestMseAnalytic:
         params = NetworkParams()
         eta = 10.0
         b = mse_analytic(params, eta, "rederived")
-        misalignment = 2.0 * (b.capped_term + b.geometry_term
-                              + b.marcumq_term) / params.radius ** 2
+        misalignment = 2.0 * b.bracket / params.radius ** 2
         rp = params.rician()
         rng = np.random.default_rng(1234)
         for k in (1, 2, 5, 20):
@@ -193,11 +192,30 @@ class TestMseAnalyticEtaArray:
             for i, eta in enumerate(etas):
                 one = mse_analytic(params, eta, variant)
                 assert isinstance(one.total, float)
-                for field in ("capped_term", "marcumq_term", "noise_term", "total"):
+                for field in ("bracket", "noise_term", "total"):
                     assert getattr(batched, field)[i] == pytest.approx(
                         getattr(one, field), rel=1e-13, abs=0), (variant, eta, field)
-                assert (batched.k_factor, batched.geometry_term) == \
-                    (one.k_factor, one.geometry_term)
+                assert batched.k_factor == one.k_factor
+
+    @settings(max_examples=15, deadline=None, database=None)
+    @given(params=NETWORKS, etas=ETAS)
+    def test_bracket_and_noise_term_free_of_density(self, params, etas):
+        etas = np.array(etas)
+        denser = replace(params, density=3.7 * params.density)
+        rederived = mse_analytic(params, etas, "rederived")
+        for variant in VARIANTS:
+            b = mse_analytic(params, etas, variant)
+            other = mse_analytic(denser, etas, variant)
+            assert np.array_equal(b.bracket, other.bracket), variant
+            assert np.array_equal(b.noise_term, other.noise_term), variant
+            misalignment = 2.0 * math.pi * params.density * b.bracket
+            if variant == "conditional":
+                assert np.array_equal(b.bracket, rederived.bracket)
+                mu = params.mean_count
+                total = misalignment / mu - b.k_factor * b.noise_term / math.expm1(-mu)
+            else:
+                total = b.k_factor * (misalignment + b.noise_term)
+            assert np.array_equal(b.total, total), variant
 
     @settings(max_examples=15, deadline=None, database=None)
     @given(params=NETWORKS, etas=ETAS)
@@ -223,8 +241,7 @@ class TestMseAnalyticEtaArray:
     def test_float_eta_gives_floats(self):
         b = mse_analytic(NetworkParams(), 25.0, "rederived")
         assert all(type(getattr(b, field)) is float for field in (
-            "k_factor", "capped_term", "geometry_term", "marcumq_term",
-            "noise_term", "total"))
+            "k_factor", "bracket", "noise_term", "total"))
 
     def test_invalid_eta_arrays(self):
         params = NetworkParams()

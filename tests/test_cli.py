@@ -1,12 +1,13 @@
 import csv
 import json
 import math
+import time
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from aircomp import analytical, cli
+from aircomp import acceptance, analytical, cli
 from aircomp.cli import CSV_HEADER, RunConfig, UsageError, main
 from aircomp.model import NetworkParams
 from aircomp.numerics import QuadratureError
@@ -110,6 +111,22 @@ class TestSweepCommand:
         with (tmp_path / "out" / "results.csv").open() as fh:
             rows = list(csv.DictReader(fh))
         assert all("search-extended" in row["flags"].split(";") for row in rows)
+
+    def test_boundary_minimum_is_flagged(self, tmp_path, monkeypatch):
+        def at_edge(params, variant):
+            return analytical.EtaOptimum(eta=10.0, mse=1.0, search_hi=100.0,
+                                         boundary=True, extended=False)
+
+        monkeypatch.setattr(cli, "optimize_eta", at_edge)
+        cfg_path = write_config(tmp_path, eta_policy={}, mc={"iters": 10, "seed": 1})
+        assert main(["sweep", "--config", str(cfg_path)]) == 0
+        with (tmp_path / "out" / "results.csv").open() as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 2
+        for row in rows:
+            flags = row["flags"].split(";")
+            assert "boundary-minimum" in flags
+            assert "search-extended" not in flags
 
     def test_numeric_failure_exits_two(self, tmp_path, monkeypatch, capsys):
         def fail(*args, **kw):
@@ -390,6 +407,35 @@ class TestValidateCommand:
         code = main(["validate", "--criteria", "1"])
         assert code == 0
         assert "[PASS] criterion 1" in capsys.readouterr().out
+
+    def test_determinism_sweeps_print_nothing(self, capsys):
+        assert main(["validate", "--criteria", "8"]) == 0
+        out = capsys.readouterr().out
+        assert "[PASS] criterion 8" in out
+        assert "wrote" not in out
+
+    def test_grid_time_goes_to_first_grid_criterion(self, monkeypatch):
+        builds = []
+
+        def slow_grid():
+            time.sleep(0.1)
+            builds.append(1)
+            return []
+
+        def reader(number):
+            return lambda grid: acceptance.CriterionResult(
+                number, "grid reader", grid == [], "")
+
+        monkeypatch.setattr(acceptance, "compute_fig2_grid", slow_grid)
+        monkeypatch.setattr(acceptance, "criterion_3", reader(3))
+        monkeypatch.setattr(acceptance, "criterion_4", reader(4))
+        for numbers in ([3, 4], [4]):
+            builds.clear()
+            results = acceptance.run_acceptance(numbers)
+            assert builds == [1]
+            assert all(r.passed for r in results)
+            assert results[0].seconds >= 0.1
+            assert all(r.seconds < 0.1 for r in results[1:])
 
     @pytest.mark.parametrize("criteria", ["x", "9"], ids=["not-a-number", "unknown"])
     def test_bad_criteria_exit_one(self, capsys, criteria):

@@ -105,6 +105,15 @@ class TestTransmitPower:
         with pytest.raises(ValueError):
             transmit_power(0.5, 1.0, 4.0, p)
 
+    @pytest.mark.parametrize("eta", [0.0, -1.0, math.nan])
+    def test_rejects_nonpositive_eta(self, eta):
+        with pytest.raises(ValueError, match="eta must be > 0"):
+            transmit_power(2.0, 1.0, eta, make_params())
+
+    def test_rejects_negative_fading(self):
+        with pytest.raises(ValueError, match="h_mag >= 0"):
+            transmit_power(2.0, np.array([1.0, -0.1]), 4.0, make_params())
+
 
 class TestSampleFading:
     def test_pure_los_limit(self):

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from aircomp import model, montecarlo
 from aircomp.model import NetworkParams, sample_ppp_chunks, transmit_power
-from aircomp.montecarlo import (EmptyRealizationError, campbell_check,
-                                estimate_mse, realization_mse)
+from aircomp.montecarlo import (EmptyRealizationError, MseEstimate,
+                                campbell_check, estimate_mse, realization_mse)
 from stream_contract import contract_devices, inner_disc_policy
 
 
@@ -97,6 +97,10 @@ class TestEstimateMse:
         a = estimate_mse(params, 10.0, 200, seed=3)
         b = estimate_mse(params, 10.0, 200, seed=3)
         assert a == b
+
+    def test_estimate_rejects_more_used_than_total(self):
+        with pytest.raises(ValueError, match="n_used cannot exceed n_total"):
+            MseEstimate(mean=1.0, std_error=0.1, n_total=10, n_used=11)
 
     def test_seed_changes_result(self):
         params = NetworkParams()

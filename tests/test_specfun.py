@@ -118,6 +118,14 @@ class TestMarcumQ1:
     def test_a_zero_gaussian_tail(self):
         assert marcum_q1(0.0, 2.0) == pytest.approx(math.exp(-2.0), abs=1e-14)
 
+    def test_a_zero_is_exp_exactly(self):
+        # at a = 0 the series has the one Poisson weight 1 and the row e^{-y}
+        b = np.concatenate([[0.0, 1e-300, 40.0], np.linspace(0.0, 40.0, 401),
+                            np.logspace(-10, 3, 131)])
+        assert np.array_equal(marcum_q1(0.0, b), np.exp(-0.5 * b * b))
+        got = marcum_q1(0.0, 2.0)
+        assert type(got) is float and got == float(np.exp(-2.0))
+
     @pytest.mark.parametrize("a", [0.5, 1.0, 2.0, 3.0])
     def test_diagonal_identity(self, a):
         ident = 0.5 * (1.0 + float(bessel_i0e(a * a)))
@@ -168,6 +176,15 @@ class TestRician:
     def test_invalid_factor(self):
         with pytest.raises(ValueError):
             RicianParams.from_b_factor(-1.0)
+
+    @pytest.mark.parametrize("c, sigma", [(-0.1, 0.7), (0.5, 0.0), (0.5, -0.5)])
+    def test_rejects_negative_constants(self, c, sigma):
+        with pytest.raises(ValueError, match="c >= 0 and sigma > 0"):
+            RicianParams(c=c, sigma=sigma)
+
+    def test_rejects_non_unit_second_moment(self):
+        with pytest.raises(ValueError, match=r"c\^2 \+ 2 sigma\^2 = 1"):
+            RicianParams(c=0.5, sigma=0.5)
 
     def test_pdf_zero_at_origin(self):
         assert rician_pdf(0.0, RicianParams.from_b_factor(15.0)) == 0.0
