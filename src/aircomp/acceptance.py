@@ -110,9 +110,9 @@ def criterion_2() -> CriterionResult:
 
 def compute_fig2_grid() -> list[dict]:
     """The sweep's rows (eta optimized on rederived) per radius, tagged with it."""
-    configs = {radius: RunConfig(network={"radius": radius},
-                                 sweep=FIG2_SWEEP, mc={"iters": N_ITER, "seed": SEED},
-                                 variant="rederived") for radius in FIG2_RADII}
+    configs = {radius: RunConfig(network={"radius": radius}, sweep=FIG2_SWEEP,
+                                 mc={"iters": N_ITER, "seed": SEED})
+               for radius in FIG2_RADII}
     return [{"radius": r, **row} for r, cfg in configs.items() for row in run_sweep(cfg)]
 
 

@@ -7,12 +7,12 @@ Subcommands:
   validate        run the full acceptance suite
 
 Configuration is a single JSON document; command-line flags override config
-fields.  The CLI reports the paper's two formula variants ("printed" and
-"rederived"); "both" means those two.  `run_sweep` is the one analytic-vs-
-Monte-Carlo sweep: it evaluates every analytic variant, and the acceptance
-suite runs it on the Fig-2 configuration for criteria 3 and 4.  Exit codes:
-0 success, 1 usage error, 2 numeric failure, 3 acceptance failure (validate
-only).
+fields.  Every command reports the paper's two formula variants, "printed"
+and "rederived".  `run_sweep` is the one analytic-vs-Monte-Carlo sweep: it
+evaluates every analytic variant and optimizes eta on "rederived", and the
+acceptance suite runs it on the Fig-2 configuration for criteria 3 and 4.
+Exit codes: 0 success, 1 usage error, 2 numeric failure, 3 acceptance
+failure (validate only).
 """
 
 from __future__ import annotations
@@ -39,8 +39,6 @@ from .numerics import QuadratureError, refine_bracket
 CSV_HEADER = ["param_value", "eta_used",
               *(f"mse_analytic_{v}" for v in PAPER_VARIANTS),
               "mse_mc_mean", "mse_mc_stderr", "k_mean", "flags"]
-
-_VARIANT_CHOICES = (*PAPER_VARIANTS, "both")
 
 # swept name -> the NetworkParams field it replaces (eta replaces none)
 SWEEP_PARAMETERS = {"lambda": "density", "radius": "radius",
@@ -81,7 +79,6 @@ class RunConfig:
     sweep: dict = field(default_factory=dict)    # parameter/from/to/steps/log_scale
     mc: dict = field(default_factory=dict)       # iters/seed/mode/jobs
     eta_policy: dict = field(default_factory=dict)  # {} optimizes per point, or fixed
-    variant: str = "both"
     output_dir: str = "out"
 
     @classmethod
@@ -108,13 +105,8 @@ class RunConfig:
                 continue
             if key in ("iters", "seed", "mode", "jobs"):
                 cfg.mc[key] = value
-            elif key == "variant":
-                cfg.variant = value
             elif key == "out":
                 cfg.output_dir = value
-        if cfg.variant not in _VARIANT_CHOICES:
-            raise UsageError(f"variant must be {'|'.join(_VARIANT_CHOICES)}, "
-                             f"got {cfg.variant}")
         if not isinstance(cfg.output_dir, str):
             raise UsageError(f"output_dir must be a string, got {cfg.output_dir!r}")
         if cfg.sweep:
@@ -191,15 +183,6 @@ class RunConfig:
             raise UsageError(f"mc.mode must be {'|'.join(MODES)}, got {mode!r}")
         return iters, seed, mode, jobs
 
-    def opt_variant(self) -> str:
-        # when both variants are reported, eta is optimized on the rederived
-        # formula (the one the Monte Carlo adjudicates for)
-        return self.variant if self.variant in PAPER_VARIANTS else "rederived"
-
-    def variants(self) -> tuple[str, ...]:
-        """The variants reported: the paper's two for "both", else the one named."""
-        return PAPER_VARIANTS if self.variant == "both" else (self.variant,)
-
 
 def _fmt(x: float) -> str:
     return repr(float(x))
@@ -226,7 +209,8 @@ def run_sweep(cfg: RunConfig) -> list[dict]:
         elif fixed_eta is not None:
             eta = fixed_eta
         else:
-            opt = optimize_eta(params, cfg.opt_variant())
+            # rederived: the paper variant the Monte Carlo adjudicates for
+            opt = optimize_eta(params, "rederived")
             eta = opt.eta
             if opt.boundary:
                 flags.append("boundary-minimum")
@@ -267,7 +251,7 @@ def optimal_radius(cfg: RunConfig, r_min: float, r_max: float,
     params = cfg.network_params(radius=r_min)  # radius_curve sets each radius
     grid = radius_grid(r_min, r_max)
     on_grid = np.flatnonzero(grid == ref_radius)
-    for variant in cfg.variants():
+    for variant in PAPER_VARIANTS:
         def mse_at(radius: float) -> float:
             return float(radius_curve(params, [radius], variant)[0])
 
@@ -279,7 +263,6 @@ def optimal_radius(cfg: RunConfig, r_min: float, r_max: float,
             "mse_opt": refined.g_min,
             "mse_ref": mse_ref,
             "reduction": 1.0 - refined.g_min / mse_ref,
-            "interior": refined.edge is None,
             "boundary_flag": refined.edge is not None,
             "grid_radii": [float(r) for r in grid],
             "grid_mse": [float(m) for m in grid_mse],
@@ -288,8 +271,8 @@ def optimal_radius(cfg: RunConfig, r_min: float, r_max: float,
 
 
 def eta_report(cfg: RunConfig, n_points: int) -> dict:
-    if n_points < 1:
-        raise UsageError(f"--points must be >= 1, got {n_points}")
+    if n_points < 2:
+        raise UsageError(f"--points must be >= 2, got {n_points}")
     params = cfg.network_params()
     bound = eta_upper_bound(params)
     report = {
@@ -301,8 +284,7 @@ def eta_report(cfg: RunConfig, n_points: int) -> dict:
         "rician_mean_exact": rician_mean(params),
         "variants": {},
     }
-    variants = cfg.variants()
-    for variant in variants:
+    for variant in PAPER_VARIANTS:
         opt = optimize_eta(params, variant)
         report["variants"][variant] = {
             "eta_opt": opt.eta, "mse_opt": opt.mse,
@@ -312,8 +294,8 @@ def eta_report(cfg: RunConfig, n_points: int) -> dict:
     # the curve ends where the widest search ended, so every optimum is on it
     search_hi = max(res["search_hi"] for res in report["variants"].values())
     etas = log_eta_grid(params, search_hi, n_points)
-    totals = {v: mse_analytic(params, etas, v).total for v in variants}
-    report["curve"] = [{"eta": float(e), **{v: float(totals[v][i]) for v in variants}}
+    totals = {v: mse_analytic(params, etas, v).total for v in PAPER_VARIANTS}
+    report["curve"] = [{"eta": float(e), **{v: float(t[i]) for v, t in totals.items()}}
                        for i, e in enumerate(etas)]
     return report
 
@@ -337,8 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, monte_carlo=False):
-        """The config flags the subcommand reads: config, variant and output
-        always, and the Monte Carlo ones only where it runs the Monte Carlo."""
+        """The config flags the subcommand reads: config and output always,
+        and the Monte Carlo ones only where it runs the Monte Carlo."""
         p.add_argument("--config", help="JSON config file")
         if monte_carlo:
             p.add_argument("--seed", type=int, help="master seed (default 0)")
@@ -348,8 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="inner-disc policy (default clamp)")
             p.add_argument("--jobs", type=int,
                            help="Monte Carlo worker count (default 1)")
-        p.add_argument("--variant", choices=_VARIANT_CHOICES,
-                       help="analytic formula variant (default both)")
         p.add_argument("--out", help="output directory (default out)")
 
     common(sub.add_parser("sweep", help="sweep a parameter, write results.csv"),
@@ -376,7 +356,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     overrides = {k: getattr(args, k, None)
-                 for k in ("seed", "iters", "mode", "variant", "jobs", "out")}
+                 for k in ("seed", "iters", "mode", "jobs", "out")}
     try:
         cfg = RunConfig.load(getattr(args, "config", None), overrides)
     except (ValueError, OSError) as exc:  # UsageError, JSON parse errors
@@ -408,7 +388,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "eta-report":
             report = eta_report(cfg, n_points=args.points)
             out_dir.mkdir(parents=True, exist_ok=True)
-            write_csv(out_dir / "eta_curve.csv", ["eta", *cfg.variants()],
+            write_csv(out_dir / "eta_curve.csv", ["eta", *PAPER_VARIANTS],
                       report["curve"])
             (out_dir / "eta_report.json").write_text(
                 json.dumps({k: v for k, v in report.items() if k != "curve"},

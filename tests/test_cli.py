@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from aircomp import acceptance, analytical, cli
+from aircomp.analytical import PAPER_VARIANTS
 from aircomp.cli import CSV_HEADER, RunConfig, UsageError, main
 from aircomp.model import NetworkParams
 from aircomp.numerics import QuadratureError
@@ -49,9 +50,8 @@ class TestRunConfig:
     def test_overrides_apply(self, tmp_path):
         cfg = RunConfig.load(str(write_config(tmp_path)),
                              {"iters": 50, "seed": 9, "mode": "annulus",
-                              "variant": "printed", "out": "elsewhere"})
+                              "out": "elsewhere"})
         assert cfg.mc_settings()[:3] == (50, 9, "annulus")
-        assert cfg.variant == "printed"
         assert cfg.output_dir == "elsewhere"
 
     def test_integral_float_counts_accepted(self):
@@ -68,18 +68,11 @@ class TestRunConfig:
         assert name == "lambda"
         np.testing.assert_allclose(values, [0.01, 0.1, 1.0], rtol=1e-15)
 
-    def test_conditional_variant_rejected(self, tmp_path):
-        # the CLI reports the paper's two variants only
-        with pytest.raises(UsageError):
-            RunConfig.load(str(write_config(tmp_path, variant="conditional")), {})
-
-    def test_opt_variant_resolution(self):
-        assert RunConfig(variant="both").opt_variant() == "rederived"
-        assert RunConfig(variant="printed").opt_variant() == "printed"
-
-    def test_reported_variants(self):
-        assert RunConfig(variant="both").variants() == ("printed", "rederived")
-        assert RunConfig(variant="printed").variants() == ("printed",)
+    def test_variant_key_rejected(self, tmp_path, capsys, no_work):
+        # every command reports both paper variants; there is no variant setting
+        cfg_path = write_config(tmp_path, variant="both")
+        assert main(["sweep", "--config", str(cfg_path)]) == 1
+        assert "unknown config fields: ['variant']" in capsys.readouterr().err
 
 
 class TestSweepCommand:
@@ -102,11 +95,13 @@ class TestSweepCommand:
         assert meta["config"]["mc"]["iters"] == 200
         assert "wrote" in capsys.readouterr().out
 
-    def test_extended_search_is_flagged(self, tmp_path):
-        # at epsilon = 0 the printed optimum lies above eta_upper_bound
-        cfg_path = write_config(
-            tmp_path, network={"snr_db": 30.0, "epsilon": 0.0}, eta_policy={},
-            variant="printed", mc={"iters": 10, "seed": 1})
+    def test_extended_search_is_flagged(self, tmp_path, monkeypatch):
+        def extended(params, variant):
+            return analytical.EtaOptimum(eta=10.0, mse=1.0, search_hi=1000.0,
+                                         boundary=False, extended=True)
+
+        monkeypatch.setattr(cli, "optimize_eta", extended)
+        cfg_path = write_config(tmp_path, eta_policy={}, mc={"iters": 10, "seed": 1})
         assert main(["sweep", "--config", str(cfg_path)]) == 0
         with (tmp_path / "out" / "results.csv").open() as fh:
             rows = list(csv.DictReader(fh))
@@ -260,7 +255,11 @@ class TestSweepCommand:
         ["validate", "--config", "config.json"],
         ["optimal-radius", "--jobs", "2"],
         ["eta-report", "--iters", "100"],
-    ], ids=["validate-seed", "validate-config", "radius-jobs", "eta-iters"])
+        ["sweep", "--variant", "printed"],
+        ["optimal-radius", "--variant", "printed"],
+        ["eta-report", "--variant", "rederived"],
+    ], ids=["validate-seed", "validate-config", "radius-jobs", "eta-iters",
+            "sweep-variant", "radius-variant", "eta-variant"])
     def test_flag_the_command_ignores_exits_one(self, capsys, argv):
         # each subcommand registers only the flags it reads
         with pytest.raises(SystemExit) as exc:
@@ -271,7 +270,7 @@ class TestSweepCommand:
 
 class TestEtaReportCommand:
     def test_report_contents(self, tmp_path):
-        cfg_path = write_config(tmp_path, variant="rederived")
+        cfg_path = write_config(tmp_path)
         code = main(["eta-report", "--config", str(cfg_path), "--points", "20"])
         assert code == 0
         out_dir = tmp_path / "out"
@@ -279,14 +278,13 @@ class TestEtaReportCommand:
         assert report["eta_upper_bound"] >= report["variants"]["rederived"]["eta_opt"]
         with (out_dir / "eta_curve.csv").open() as fh:
             rows = list(csv.reader(fh))
-        assert rows[0] == ["eta", "rederived"]
+        assert rows[0] == ["eta", "printed", "rederived"]
         assert len(rows) == 21
 
     def test_curve_ends_where_the_search_ended(self, tmp_path):
         # at epsilon = 0 the printed search is extended past the bound, and
         # the curve follows it to search_hi
-        cfg_path = write_config(tmp_path, network={"snr_db": 30.0, "epsilon": 0.0},
-                                variant="printed")
+        cfg_path = write_config(tmp_path, network={"snr_db": 30.0, "epsilon": 0.0})
         assert main(["eta-report", "--config", str(cfg_path), "--points", "20"]) == 0
         out_dir = tmp_path / "out"
         res = json.loads((out_dir / "eta_report.json").read_text())
@@ -297,10 +295,13 @@ class TestEtaReportCommand:
         assert etas[-1] == pytest.approx(res["search_hi"], rel=1e-12)
         assert etas[-1] >= res["eta_opt"]
 
-    def test_no_points_is_usage_error(self, tmp_path, capsys):
+    def test_no_points_is_usage_error(self, tmp_path, capsys, no_work):
+        # a curve needs two points to end at search_hi
         cfg_path = write_config(tmp_path)
-        assert main(["eta-report", "--config", str(cfg_path), "--points", "0"]) == 1
-        assert "--points" in capsys.readouterr().err
+        for points in ("0", "1"):
+            assert main(["eta-report", "--config", str(cfg_path),
+                         "--points", points]) == 1
+            assert "--points" in capsys.readouterr().err
 
 
 def patch_optimize_eta(monkeypatch, replacement):
@@ -325,7 +326,7 @@ def parabola(monkeypatch):
 
 
 def radius_report(tmp_path, r_min, r_max, ref_radius):
-    cfg_path = write_config(tmp_path, variant="rederived")
+    cfg_path = write_config(tmp_path)
     assert main(["optimal-radius", "--config", str(cfg_path), "--r-min", r_min,
                  "--r-max", r_max, "--ref-radius", ref_radius]) == 0
     report = json.loads((tmp_path / "out" / "optimal_radius.json").read_text())
@@ -346,13 +347,15 @@ def no_work(monkeypatch):
 class TestOptimalRadiusCommand:
     def test_narrow_bracket(self, tmp_path, capsys):
         res = radius_report(tmp_path, "11", "15", "5")
+        assert set(res) == {"r_opt", "mse_opt", "mse_ref", "reduction",
+                            "boundary_flag", "grid_radii", "grid_mse"}
         assert 11.0 <= res["r_opt"] <= 15.0
         assert res["mse_opt"] <= res["mse_ref"]
         assert "R_opt" in capsys.readouterr().out
 
     def test_optimize_eta_calls(self, tmp_path, monkeypatch):
-        # 5 grid radii, Brent's method inside the grid argmin's bracket
-        # (no second scan of it) and the reference radius
+        # per variant: 5 grid radii, Brent's method inside the grid argmin's
+        # bracket (no second scan of it) and the reference radius
         calls = []
         optimize_eta = analytical.optimize_eta
 
@@ -362,14 +365,15 @@ class TestOptimalRadiusCommand:
 
         patch_optimize_eta(monkeypatch, counted)
         radius_report(tmp_path, "11", "15", "5")
-        assert len(calls) <= 5 + 20 + 1
+        for variant in PAPER_VARIANTS:
+            assert 0 < sum(args[1] == variant for args in calls) <= 5 + 20 + 1
 
     def test_ref_radius_on_the_grid_reads_the_grid(self, tmp_path, parabola):
         off_grid = radius_report(tmp_path, "11", "15", "5")
         n_off_grid = len(parabola)
         parabola.clear()
         on_grid = radius_report(tmp_path, "11", "15", "11")
-        assert len(parabola) == n_off_grid - 1
+        assert len(parabola) == n_off_grid - len(PAPER_VARIANTS)  # one per variant
         assert on_grid["mse_ref"] == on_grid["grid_mse"][0]
         assert off_grid["mse_opt"] == on_grid["mse_opt"]
 

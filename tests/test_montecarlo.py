@@ -121,10 +121,13 @@ class TestEstimateMse:
 
     @pytest.mark.parametrize("n_iter, n_jobs, cpus, workers", [
         (10, 500, 4, 4), (3, 8, 16, 3), (400, 4, 2, 2), (400, 4, None, 1),
-    ], ids=["cpus", "iters", "jobs-over-cpus", "no-cpu-count"])
+        (2000, 4, 4, 4),
+    ], ids=["cpus", "iters", "jobs-over-cpus", "no-cpu-count", "four-ranges"])
     def test_worker_count_capped(self, monkeypatch, n_iter, n_jobs, cpus, workers):
         # min(n_jobs, n_iter, cpu count) processes, one range each; the
-        # stand-in Pool records its size and range count and starts nothing
+        # stand-in Pool records its size and range count and starts nothing.
+        # Four ranges of 2000 realizations put [1000, 1500) across the
+        # 1024-index hash block, whatever the host's CPU count
         started, mapped = [], []
 
         class RecordingPool:
