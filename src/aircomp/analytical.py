@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import NetworkParams, transmit_power
+from .model import NetworkParams
 from .numerics import integrate, power_integral, refine_bracket
 from .specfun import (RicianParams, marcum_q1, poisson_inverse_moment,
                       rician_pdf)
@@ -39,7 +39,6 @@ __all__ = [
     "EtaOptimum",
     "mse_analytic",
     "eta_upper_bound",
-    "eta_star_realization",
     "log_eta_grid",
     "optimize_eta",
     "radius_curve",
@@ -232,24 +231,6 @@ def eta_upper_bound(params: NetworkParams) -> EtaBound:
         ratio_moment=ratio_moment,
         rician_mean_printed=mean_printed,
     )
-
-
-def eta_star_realization(d: np.ndarray, h: np.ndarray, eta_ref: float,
-                         params: NetworkParams) -> float:
-    """Stationary point of the per-realization objective in eta.
-
-    ((sum d^-a P_k h^2 + w^2) / (sum d^-a/2 sqrt(P_k) h))^2, with the
-    transmit powers frozen at eta_ref (the power-control branch of each
-    device depends on eta; the bound derivation treats powers as given).
-    d and h are the devices left by the inner-disc policy.
-    """
-    if d.size == 0:
-        raise ValueError("empty realization")
-    p = transmit_power(d, h, eta_ref, params)
-    amp = d ** (-0.5 * params.alpha) * np.sqrt(p) * h
-    num = float(np.sum(amp ** 2)) + params.noise_power
-    den = float(np.sum(amp))
-    return (num / den) ** 2
 
 
 @dataclass(frozen=True)

@@ -23,17 +23,14 @@ from multiprocessing import Pool
 
 import numpy as np
 
-from .analytical import rician_mean
 from .model import MODES, NetworkParams, sample_ppp_chunks, transmit_power
-from .numerics import power_integral
 
 __all__ = [
     "EmptyRealizationError",
     "MseEstimate",
-    "CampbellReport",
     "realization_mse",
+    "eta_star_realization",
     "estimate_mse",
-    "campbell_check",
 ]
 
 
@@ -53,6 +50,12 @@ class MseEstimate:
             raise ValueError("n_used cannot exceed n_total")
 
 
+def _amplitudes(d: np.ndarray, h: np.ndarray, powers: np.ndarray,
+                params: NetworkParams) -> np.ndarray:
+    """Received amplitude d^(-a/2) sqrt(P_k) h of each device."""
+    return d ** (-0.5 * params.alpha) * np.sqrt(powers) * h
+
+
 def _mse(d: np.ndarray, h: np.ndarray, powers: np.ndarray, eta: float,
          params: NetworkParams, bounds: list[int]) -> list[float]:
     """(sum_k (a_k - 1)^2 + w^2 / eta) / K of each non-empty realization, in
@@ -65,7 +68,7 @@ def _mse(d: np.ndarray, h: np.ndarray, powers: np.ndarray, eta: float,
     np.add.reduceat groups the additions differently and can move the last
     bit.  np.add.reduce is np.sum without its dispatch wrapper.
     """
-    sq = (d ** (-0.5 * params.alpha) * np.sqrt(powers) * h / math.sqrt(eta) - 1.0) ** 2
+    sq = (_amplitudes(d, h, powers, params) / math.sqrt(eta) - 1.0) ** 2
     noise = params.noise_power / eta
     return [(float(np.add.reduce(sq[a:b])) + noise) / (b - a)
             for a, b in zip(bounds, bounds[1:]) if b > a]
@@ -82,6 +85,24 @@ def realization_mse(d: np.ndarray, h: np.ndarray, powers: np.ndarray,
     if d.size == 0:
         raise EmptyRealizationError("realization has no devices")
     return _mse(d, h, powers, eta, params, [0, d.size])[0]
+
+
+def eta_star_realization(d: np.ndarray, h: np.ndarray, eta_ref: float,
+                         params: NetworkParams) -> float:
+    """Stationary point of the per-realization objective in eta.
+
+    ((sum d^-a P_k h^2 + w^2) / (sum d^-a/2 sqrt(P_k) h))^2, with the
+    transmit powers frozen at eta_ref (the power-control branch of each
+    device depends on eta; the bound derivation treats powers as given).
+    d and h are the devices left by the inner-disc policy; raises
+    EmptyRealizationError if there are none.
+    """
+    if d.size == 0:
+        raise EmptyRealizationError("realization has no devices")
+    amp = _amplitudes(d, h, transmit_power(d, h, eta_ref, params), params)
+    num = float(np.sum(amp ** 2)) + params.noise_power
+    den = float(np.sum(amp))
+    return (num / den) ** 2
 
 
 def _mc_range(args) -> np.ndarray:
@@ -129,50 +150,3 @@ def estimate_mse(params: NetworkParams, eta: float, n_iter: int, seed: int,
     return MseEstimate(mean=mean, std_error=std_error,
                        n_total=n_iter, n_used=n_used)
 
-
-@dataclass(frozen=True)
-class CampbellReport:
-    """Empirical vs quadrature means of additive functionals over the annulus."""
-
-    names: tuple[str, ...]
-    empirical: tuple[float, ...]
-    target: tuple[float, ...]
-    z_scores: tuple[float, ...]
-
-    def max_abs_z(self) -> float:
-        return max(abs(z) for z in self.z_scores)
-
-
-def campbell_check(params: NetworkParams, n_iter: int, seed: int) -> CampbellReport:
-    """Check E[sum_k g(d_k, h_k)] against 2 pi lambda int_1^R E_v[g] r dr.
-
-    Test functionals over devices with d in [1, R]: the count, the received
-    power sum d^-a h^2, and the received amplitude sum d^-a/2 h.
-    """
-    if n_iter < 1000:
-        raise ValueError("campbell_check needs n_iter >= 1000")
-    alpha = params.alpha
-    rows = []
-    for d, h, bounds in sample_ppp_chunks(params, seed, 0, n_iter, "annulus"):
-        power = d ** -alpha * h ** 2
-        amplitude = d ** (-0.5 * alpha) * h
-        rows += [(b - a, float(np.add.reduce(power[a:b])),
-                  float(np.add.reduce(amplitude[a:b])))
-                 for a, b in zip(bounds, bounds[1:])]
-    sums = np.array(rows, dtype=float)
-
-    mean_h = rician_mean(params)
-    two_pi_lam = 2.0 * math.pi * params.density
-    r_max = params.radius
-    targets = (
-        params.density * math.pi * (r_max ** 2 - 1.0),
-        two_pi_lam * float(power_integral(1.0, r_max, 1.0 - alpha)),  # E[h^2] = 1
-        two_pi_lam * float(power_integral(1.0, r_max, 1.0 - 0.5 * alpha)) * mean_h,
-    )
-    emp = sums.mean(axis=0)
-    se = sums.std(axis=0, ddof=1) / math.sqrt(n_iter)
-    z = tuple(float((e - t) / s) for e, t, s in zip(emp, targets, se))
-    return CampbellReport(
-        names=("count", "received_power", "received_amplitude"),
-        empirical=tuple(float(v) for v in emp),
-        target=targets, z_scores=z)

@@ -8,9 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate as sp_integrate
 
-from aircomp.analytical import (VARIANTS, eta_star_realization,
-                                eta_upper_bound, log_eta_grid, mse_analytic,
-                                optimize_eta, rician_mean)
+from aircomp.analytical import (VARIANTS, eta_upper_bound, log_eta_grid,
+                                mse_analytic, optimize_eta, rician_mean)
 from aircomp.model import NetworkParams, transmit_power
 from aircomp.montecarlo import realization_mse
 from aircomp.numerics import integrate
@@ -272,22 +271,6 @@ class TestEtaUpperBound:
         b = eta_upper_bound(NetworkParams())
         assert max(b.capped_moment_printed, b.capped_moment_appendix) >= \
             NetworkParams().p_max
-
-
-class TestEtaStarRealization:
-    def test_single_device_closed_form(self):
-        # one device at d = 1, h = 1: eta_ref = P_max keeps it on the cap,
-        # so eta* = ((P_max + w^2) / sqrt(P_max))^2
-        params = NetworkParams()
-        got = eta_star_realization(np.array([1.0]), np.array([1.0]),
-                                   params.p_max, params)
-        want = ((params.p_max + params.noise_power) ** 2) / params.p_max
-        assert got == pytest.approx(want, rel=1e-12)
-
-    def test_empty_rejected(self):
-        params = NetworkParams()
-        with pytest.raises(ValueError):
-            eta_star_realization(np.array([]), np.array([]), 1.0, params)
 
 
 class TestOptimizeEta:

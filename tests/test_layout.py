@@ -56,6 +56,25 @@ def test_runtime_imports_numpy_and_stdlib_only():
     assert not found, found
 
 
+def _package_imports(path: Path) -> set[str]:
+    """The aircomp modules that path imports from, by name."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level > 0 or (node.module or "").startswith("aircomp")):
+            module = (node.module or "").removeprefix("aircomp").lstrip(".")
+            found |= {module} if module else {alias.name for alias in node.names}
+    return found
+
+
+def test_analytic_and_monte_carlo_layers_apart():
+    # the closed form and the Monte Carlo that validates it share only the
+    # model: neither module imports anything from the other
+    package = SOURCES[0].parent
+    assert "analytical" not in _package_imports(package / "montecarlo.py")
+    assert "montecarlo" not in _package_imports(package / "analytical.py")
+
+
 # What builds a (seed, i) stream, and the Generator methods that draw from it
 SAMPLING = {"SeedSequence", "PCG64", "default_rng", "poisson", "random", "uniform",
             "standard_normal"}

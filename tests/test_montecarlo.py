@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aircomp import model, montecarlo
+from aircomp.acceptance import campbell_check
 from aircomp.model import NetworkParams, sample_ppp_chunks, transmit_power
 from aircomp.montecarlo import (EmptyRealizationError, MseEstimate,
-                                campbell_check, estimate_mse, realization_mse)
+                                estimate_mse, eta_star_realization,
+                                realization_mse)
 from stream_contract import contract_devices, inner_disc_policy
 
 
@@ -78,6 +80,22 @@ class TestRealizationMse:
         want = (float(np.sum((amp - 1.0) ** 2)) + params.noise_power / eta) / d.size
         got = mse(d, h, eta, params)
         assert got == want
+
+
+class TestEtaStarRealization:
+    def test_single_device_closed_form(self):
+        # one device at d = 1, h = 1: eta_ref = P_max keeps it on the cap,
+        # so eta* = ((P_max + w^2) / sqrt(P_max))^2
+        params = NetworkParams()
+        got = eta_star_realization(np.array([1.0]), np.array([1.0]),
+                                   params.p_max, params)
+        want = ((params.p_max + params.noise_power) ** 2) / params.p_max
+        assert got == pytest.approx(want, rel=1e-12)
+
+    def test_empty_rejected(self):
+        params = NetworkParams()
+        with pytest.raises(ValueError):
+            eta_star_realization(np.array([]), np.array([]), 1.0, params)
 
 
 def nonempty_realization_mses(params, eta, n_iter, seed, mode):
