@@ -23,7 +23,7 @@ import numpy as np
 from .analytical import (VARIANTS, eta_upper_bound, log_eta_grid,
                          mse_analytic, optimize_eta, radius_curve,
                          radius_grid, rician_mean)
-from .cli import RunConfig, main, run_sweep
+from .cli import main, resolve_config, run_sweep
 from .model import NetworkParams, sample_ppp_chunks, transmit_power
 from .montecarlo import eta_star_realization, realization_mse
 from .numerics import integrate, power_integral
@@ -158,8 +158,8 @@ def criterion_2() -> CriterionResult:
 
 def compute_fig2_grid() -> list[dict]:
     """The sweep's rows (eta optimized on rederived) per radius, tagged with it."""
-    configs = {radius: RunConfig(network={"radius": radius}, sweep=FIG2_SWEEP,
-                                 mc={"iters": N_ITER, "seed": SEED})
+    configs = {radius: resolve_config({"network": {"radius": radius}, "sweep": FIG2_SWEEP,
+                                       "mc": {"iters": N_ITER, "seed": SEED}}, {})
                for radius in FIG2_RADII}
     return [{"radius": r, **row} for r, cfg in configs.items() for row in run_sweep(cfg)]
 

@@ -15,8 +15,8 @@ The third is the expectation that the Monte Carlo estimator targets:
 * "conditional": the "rederived" bracket conditioned on the device count,
   so only the noise term carries the inverse moment of K.
 
-The Monte Carlo estimator adjudicates between them; reports always state
-which variant matched.
+The Monte Carlo estimator adjudicates between them; criterion 3 names the
+variant that matches, and `sweep`'s flag compares with "rederived" alone.
 """
 
 from __future__ import annotations

@@ -6,11 +6,11 @@ Subcommands:
   eta-report      search-bound components and the MSE-vs-eta curve
   validate        run the full acceptance suite
 
-Configuration is a single JSON document; command-line flags override config
-fields.  Every command reports the paper's two formula variants, "printed"
-and "rederived".  `run_sweep` is the one analytic-vs-Monte-Carlo sweep: it
-evaluates every analytic variant and optimizes eta on "rederived", and the
-acceptance suite runs it on the Fig-2 configuration for criteria 3 and 4.
+Configuration is one JSON document, resolved with the flags that override
+it by `resolve_config` before any work.  Every command reports the paper's
+two formula variants, "printed" and "rederived".  `run_sweep` is the one
+analytic-vs-Monte-Carlo sweep: it evaluates every variant, optimizes eta on
+"rederived", and the acceptance suite runs it for criteria 3 and 4.
 Exit codes: 0 success, 1 usage error, 2 numeric failure, 3 acceptance
 failure (validate only).
 """
@@ -21,9 +21,11 @@ import argparse
 import csv
 import json
 import math
+import os
+import platform
 import sys
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -73,142 +75,158 @@ def _number(value, key: str, kind=float):
     return kind(value)
 
 
-@dataclass
+@dataclass(frozen=True)
+class SweepPoint:
+    value: float            # the swept parameter's value
+    network: NetworkParams  # the base network with the swept field replaced
+    eta: float | None       # None: optimized on "rederived" at the point
+
+
+@dataclass(frozen=True)
+class MonteCarloSettings:
+    iters: int
+    seed: int
+    mode: str
+    jobs: int
+
+
+@dataclass(frozen=True)
 class RunConfig:
-    network: dict = field(default_factory=dict)  # NetworkParams fields; accepts snr_db OR p_max
-    sweep: dict = field(default_factory=dict)    # parameter/from/to/steps/log_scale
-    mc: dict = field(default_factory=dict)       # iters/seed/mode/jobs
-    eta_policy: dict = field(default_factory=dict)  # {} optimizes per point, or fixed
-    output_dir: str = "out"
+    """What a command runs, as resolve_config resolves it from the config."""
+
+    network: NetworkParams          # snr_db already folded into p_max
+    points: tuple[SweepPoint, ...]  # empty when the config has no sweep
+    mc: MonteCarloSettings
+    output_dir: str
 
     @classmethod
-    def load(cls, path: str | None, overrides: dict) -> "RunConfig":
-        raw = {}
-        if path is not None:
-            raw = json.loads(Path(path).read_text())
-        if not isinstance(raw, dict):
-            raise UsageError(f"config must be a JSON object, got {raw!r}")
-        cfg = cls(**{k: v for k, v in raw.items() if k in cls.__dataclass_fields__})
-        unknown = set(raw) - set(cls.__dataclass_fields__)
+    def load(cls, path: str | None, overrides: dict,
+             require_sweep: bool = False) -> "RunConfig":
+        raw = {} if path is None else json.loads(Path(path).read_text())
+        return resolve_config(raw, overrides, require_sweep)
+
+
+def resolve_config(raw: object, overrides: dict, require_sweep: bool = False) -> RunConfig:
+    """The RunConfig of a config document and the flags that override it
+    (None: not given); a bad value raises a UsageError naming its key.  A
+    sweep section is checked if given, and required if require_sweep."""
+    if not isinstance(raw, dict):
+        raise UsageError(f"config must be a JSON object, got {raw!r}")
+    unknown = set(raw) - {"network", *SECTION_KEYS, "output_dir"}
+    if unknown:
+        raise UsageError(f"unknown config fields: {sorted(unknown)}")
+    sections = {name: raw.get(name, {}) for name in ("network", *SECTION_KEYS)}
+    for name, section in sections.items():
+        if not isinstance(section, dict):
+            raise UsageError(f"{name} must be an object, got {section!r}")
+        # network's keys are NetworkParams' fields, checked as it is built
+        unknown = set(section) - set(SECTION_KEYS.get(name, section))
         if unknown:
-            raise UsageError(f"unknown config fields: {sorted(unknown)}")
-        for name in ("network", *SECTION_KEYS):
-            section = getattr(cfg, name)
-            if not isinstance(section, dict):
-                raise UsageError(f"{name} must be an object, got {section!r}")
-            # network's keys are NetworkParams' fields, checked as it is built
-            unknown = set(section) - set(SECTION_KEYS.get(name, section))
-            if unknown:
-                raise UsageError(f"unknown {name} keys: {sorted(unknown)}")
-        for key, value in overrides.items():
-            if value is None:
-                continue
-            if key in ("iters", "seed", "mode", "jobs"):
-                cfg.mc[key] = value
-            elif key == "out":
-                cfg.output_dir = value
-        if not isinstance(cfg.output_dir, str):
-            raise UsageError(f"output_dir must be a string, got {cfg.output_dir!r}")
-        if cfg.sweep:
-            cfg.sweep_values()
-        cfg.fixed_eta()
-        cfg.mc_settings()
-        return cfg
-
-    def network_params(self, **replacements) -> NetworkParams:
-        """NetworkParams from the network section, whose missing fields take
-        NetworkParams' defaults; snr_db sets p_max via the noise power."""
-        net = {key: _number(value, f"network.{key}")
-               for key, value in self.network.items()}
-        net.update(replacements)
-        if "snr_db" in net and "p_max" in net:
-            raise UsageError("config must give snr_db or p_max, not both")
-        snr_db = net.pop("snr_db", None)
-        try:
-            params = NetworkParams(**net)
-            if snr_db is not None:
-                params = replace(params, p_max=params.noise_power
-                                 * 10.0 ** (snr_db / 10.0))
-            return params
-        except OverflowError as exc:  # only 10 ** (snr_db / 10) can overflow
-            raise UsageError(f"network.snr_db is too large, got {snr_db!r}") from exc
-        except (TypeError, ValueError) as exc:
-            raise UsageError(f"bad network config: {exc}") from exc
-
-    def sweep_values(self) -> tuple[str, np.ndarray]:
-        """The swept parameter's name and its grid of values."""
-        sweep = self.sweep
-        name = sweep.get("parameter")
-        if not isinstance(name, str) or name not in SWEEP_PARAMETERS:
-            raise UsageError(f"sweep.parameter must be one of "
-                             f"{'|'.join(SWEEP_PARAMETERS)}, got {name!r}")
-        if "from" not in sweep or "to" not in sweep:
-            raise UsageError("sweep needs from and to")
-        lo, hi = _number(sweep["from"], "sweep.from"), _number(sweep["to"], "sweep.to")
-        steps = _number(sweep.get("steps", 10), "sweep.steps", int)
-        if steps < 2:
-            raise UsageError("sweep needs steps >= 2")
-        if not lo < hi:
-            raise UsageError("sweep needs from < to")
-        log_scale = sweep.get("log_scale", False)
-        if not isinstance(log_scale, bool):
-            raise UsageError(f"sweep.log_scale must be true or false, got {log_scale!r}")
-        if (log_scale or name == "eta") and not lo > 0:
-            raise UsageError("sweep needs from > 0 on a log scale or over eta")
-        if log_scale:
-            return name, np.exp(np.linspace(math.log(lo), math.log(hi), steps))
-        return name, np.linspace(lo, hi, steps)
-
-    def fixed_eta(self) -> float | None:
-        """eta_policy.fixed, or None when eta is optimized per point."""
-        if "fixed" not in self.eta_policy:
-            return None
-        eta = _number(self.eta_policy["fixed"], "eta_policy.fixed")
-        if not eta > 0:
-            raise UsageError(f"eta_policy.fixed must be > 0, got {eta}")
-        return eta
-
-    def mc_settings(self) -> tuple[int, int, str, int]:
-        iters = _number(self.mc.get("iters", 10000), "mc.iters", int)
-        seed = _number(self.mc.get("seed", 0), "mc.seed", int)
-        jobs = _number(self.mc.get("jobs", 1), "mc.jobs", int)
-        mode = str(self.mc.get("mode", "clamp"))
-        if iters < 1:
-            raise UsageError(f"mc.iters must be >= 1, got {iters}")
-        if seed < 0:
-            raise UsageError(f"mc.seed must be >= 0, got {seed}")
-        if jobs < 1:
-            raise UsageError(f"mc.jobs must be >= 1, got {jobs}")
-        if mode not in MODES:
-            raise UsageError(f"mc.mode must be {'|'.join(MODES)}, got {mode!r}")
-        return iters, seed, mode, jobs
+            raise UsageError(f"unknown {name} keys: {sorted(unknown)}")
+    flags = {key: value for key, value in overrides.items() if value is not None}
+    output_dir = flags.pop("out", raw.get("output_dir", "out"))
+    if not isinstance(output_dir, str):
+        raise UsageError(f"output_dir must be a string, got {output_dir!r}")
+    name, values = None, ()
+    if sections["sweep"] or require_sweep:
+        name, values = _sweep_values(sections["sweep"])
+    eta = _fixed_eta(sections["eta_policy"])
+    mc = _mc_settings({**sections["mc"], **flags})
+    network = _network(sections["network"])
+    replaced = SWEEP_PARAMETERS.get(name)
+    points = tuple(SweepPoint(value, _network(sections["network"], **{replaced: value})
+                              if replaced else network,
+                              value if name == "eta" else eta)
+                   for value in map(float, values))
+    return RunConfig(network, points, mc, output_dir)
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def _network(section: dict, **replacements) -> NetworkParams:
+    """NetworkParams from the network section, whose missing fields take
+    NetworkParams' defaults; snr_db sets p_max via the noise power."""
+    net = {key: _number(value, f"network.{key}") for key, value in section.items()}
+    net.update(replacements)
+    if "snr_db" in net and "p_max" in net:
+        raise UsageError("config must give snr_db or p_max, not both")
+    snr_db = net.pop("snr_db", None)
+    try:
+        params = NetworkParams(**net)
+        if snr_db is not None:
+            params = replace(params, p_max=params.noise_power
+                             * 10.0 ** (snr_db / 10.0))
+        return params
+    except OverflowError as exc:  # only 10 ** (snr_db / 10) can overflow
+        raise UsageError(f"network.snr_db is too large, got {snr_db!r}") from exc
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"bad network config: {exc}") from exc
 
 
-def _write_run_metadata(out_dir: Path, cfg: RunConfig, extra: dict) -> None:
+def _sweep_values(sweep: dict) -> tuple[str, np.ndarray]:
+    """The swept parameter's name and its grid of values."""
+    name = sweep.get("parameter")
+    if not isinstance(name, str) or name not in SWEEP_PARAMETERS:
+        raise UsageError(f"sweep.parameter must be one of "
+                         f"{'|'.join(SWEEP_PARAMETERS)}, got {name!r}")
+    if "from" not in sweep or "to" not in sweep:
+        raise UsageError("sweep needs from and to")
+    lo, hi = _number(sweep["from"], "sweep.from"), _number(sweep["to"], "sweep.to")
+    steps = _number(sweep.get("steps", 10), "sweep.steps", int)
+    if steps < 2:
+        raise UsageError("sweep needs steps >= 2")
+    if not lo < hi:
+        raise UsageError("sweep needs from < to")
+    log_scale = sweep.get("log_scale", False)
+    if not isinstance(log_scale, bool):
+        raise UsageError(f"sweep.log_scale must be true or false, got {log_scale!r}")
+    if (log_scale or name == "eta") and not lo > 0:
+        raise UsageError("sweep needs from > 0 on a log scale or over eta")
+    if log_scale:
+        return name, np.exp(np.linspace(math.log(lo), math.log(hi), steps))
+    return name, np.linspace(lo, hi, steps)
+
+
+def _fixed_eta(eta_policy: dict) -> float | None:
+    """eta_policy.fixed, or None when eta is optimized per point."""
+    if "fixed" not in eta_policy:
+        return None
+    eta = _number(eta_policy["fixed"], "eta_policy.fixed")
+    if not eta > 0:
+        raise UsageError(f"eta_policy.fixed must be > 0, got {eta}")
+    return eta
+
+
+def _mc_settings(mc: dict) -> MonteCarloSettings:
+    counts = {key: _number(mc.get(key, default), f"mc.{key}", int)
+              for key, default in (("iters", 10000), ("seed", 0), ("jobs", 1))}
+    for key, least in (("iters", 1), ("seed", 0), ("jobs", 1)):
+        if counts[key] < least:
+            raise UsageError(f"mc.{key} must be >= {least}, got {counts[key]}")
+    mode = str(mc.get("mode", "clamp"))
+    if mode not in MODES:
+        raise UsageError(f"mc.mode must be {'|'.join(MODES)}, got {mode!r}")
+    return MonteCarloSettings(mode=mode, **counts)
+
+
+def _output_dir(cfg: RunConfig, extra: dict) -> Path:
+    """The output directory, created, with the run's record in run.json."""
+    out_dir = Path(cfg.output_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     record = {"config": asdict(cfg), "version": __version__,
+              "python": platform.python_version(), "numpy": np.__version__,
+              "cpu_count": os.cpu_count(),
               "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"), **extra}
     (out_dir / "run.json").write_text(json.dumps(record, indent=2) + "\n")
+    return out_dir
 
 
 def run_sweep(cfg: RunConfig) -> list[dict]:
-    """One row per swept value, with every analytic variant as mse_analytic_<v>."""
-    name, values = cfg.sweep_values()
-    replaced = SWEEP_PARAMETERS[name]
-    fixed_eta = cfg.fixed_eta()
-    iters, seed, mode, jobs = cfg.mc_settings()
+    """One row per sweep point, with every analytic variant as mse_analytic_<v>."""
+    mc = cfg.mc
     rows = []
-    for value in values:
-        params = cfg.network_params(**({replaced: float(value)} if replaced else {}))
-        flags = [f"mode={mode}"]
-        if name == "eta":
-            eta = float(value)
-        elif fixed_eta is not None:
-            eta = fixed_eta
-        else:
+    for point in cfg.points:
+        params, eta = point.network, point.eta
+        flags = [f"mode={mc.mode}"]
+        if eta is None:
             # rederived: the paper variant the Monte Carlo adjudicates for
             opt = optimize_eta(params, "rederived")
             eta = opt.eta
@@ -217,11 +235,11 @@ def run_sweep(cfg: RunConfig) -> list[dict]:
             if opt.extended:
                 flags.append("search-extended")
         analytic = {v: mse_analytic(params, eta, v).total for v in VARIANTS}
-        est = estimate_mse(params, eta, iters, seed, mode=mode, n_jobs=jobs)
+        est = estimate_mse(params, eta, mc.iters, mc.seed, mode=mc.mode, n_jobs=mc.jobs)
         if abs(analytic["rederived"] - est.mean) > 3.0 * est.std_error:
             flags.append("analytic-mc-discrepancy")
         rows.append({
-            "param_value": float(value), "eta_used": eta,
+            "param_value": point.value, "eta_used": eta,
             **{f"mse_analytic_{v}": total for v, total in analytic.items()},
             "mse_mc_mean": est.mean, "mse_mc_stderr": est.std_error,
             "k_mean": params.mean_count, "flags": ";".join(flags),
@@ -234,13 +252,12 @@ def write_csv(path: Path, columns: list[str], rows: list[dict]) -> Path:
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
-        for row in rows:
-            writer.writerow([row[c] if isinstance(row[c], str) else _fmt(row[c])
-                             for c in columns])
+        writer.writerows([row[c] if isinstance(row[c], str) else repr(float(row[c]))
+                          for c in columns] for row in rows)
     return path
 
 
-def optimal_radius(cfg: RunConfig, r_min: float, r_max: float,
+def optimal_radius(params: NetworkParams, r_min: float, r_max: float,
                    ref_radius: float) -> dict:
     if not (1.0 < r_min and r_min + 1.0 <= r_max < math.inf):
         raise UsageError("require 1 < --r-min, --r-min + 1 <= --r-max < inf (a 1 m grid)")
@@ -248,7 +265,6 @@ def optimal_radius(cfg: RunConfig, r_min: float, r_max: float,
         raise UsageError(f"require 1 < ref_radius < inf, got {ref_radius:g}")
     report = {"r_min": r_min, "r_max": r_max, "ref_radius": ref_radius,
               "variants": {}}
-    params = cfg.network_params(radius=r_min)  # radius_curve sets each radius
     grid = radius_grid(r_min, r_max)
     on_grid = np.flatnonzero(grid == ref_radius)
     for variant in PAPER_VARIANTS:
@@ -270,10 +286,9 @@ def optimal_radius(cfg: RunConfig, r_min: float, r_max: float,
     return report
 
 
-def eta_report(cfg: RunConfig, n_points: int) -> dict:
+def eta_report(params: NetworkParams, n_points: int) -> dict:
     if n_points < 2:
         raise UsageError(f"--points must be >= 2, got {n_points}")
-    params = cfg.network_params()
     bound = eta_upper_bound(params)
     report = {
         "eta_upper_bound": bound.value,
@@ -358,42 +373,37 @@ def main(argv: list[str] | None = None) -> int:
     overrides = {k: getattr(args, k, None)
                  for k in ("seed", "iters", "mode", "jobs", "out")}
     try:
-        cfg = RunConfig.load(getattr(args, "config", None), overrides)
+        cfg = RunConfig.load(getattr(args, "config", None), overrides,
+                             require_sweep=args.command == "sweep")
     except (ValueError, OSError) as exc:  # UsageError, JSON parse errors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    out_dir = Path(cfg.output_dir)
     try:
         if args.command == "sweep":
             rows = run_sweep(cfg)
-            out_dir.mkdir(parents=True, exist_ok=True)
+            out_dir = _output_dir(cfg, {"rows": len(rows)})
             path = write_csv(out_dir / "results.csv", CSV_HEADER, rows)
-            _write_run_metadata(out_dir, cfg, {"rows": len(rows)})
             print(f"wrote {path} ({len(rows)} rows)")
-            return 0
-        if args.command == "optimal-radius":
-            report = optimal_radius(cfg, args.r_min, args.r_max, args.ref_radius)
-            out_dir.mkdir(parents=True, exist_ok=True)
+        elif args.command == "optimal-radius":
+            report = optimal_radius(cfg.network, args.r_min, args.r_max, args.ref_radius)
+            out_dir = _output_dir(cfg, {})
             (out_dir / "optimal_radius.json").write_text(
                 json.dumps(report, indent=2) + "\n")
-            _write_run_metadata(out_dir, cfg, {})
             for variant, res in report["variants"].items():
                 print(f"[{variant}] R_opt = {res['r_opt']:.3f} m, "
                       f"MSE(R_opt) = {res['mse_opt']:.6g}, "
                       f"MSE({args.ref_radius:g} m) = {res['mse_ref']:.6g}, "
                       f"reduction = {100 * res['reduction']:.1f}%"
                       + (" [boundary]" if res["boundary_flag"] else ""))
-            return 0
-        if args.command == "eta-report":
-            report = eta_report(cfg, n_points=args.points)
-            out_dir.mkdir(parents=True, exist_ok=True)
+        elif args.command == "eta-report":
+            report = eta_report(cfg.network, n_points=args.points)
+            out_dir = _output_dir(cfg, {})
             write_csv(out_dir / "eta_curve.csv", ["eta", *PAPER_VARIANTS],
                       report["curve"])
             (out_dir / "eta_report.json").write_text(
                 json.dumps({k: v for k, v in report.items() if k != "curve"},
                            indent=2) + "\n")
-            _write_run_metadata(out_dir, cfg, {})
             print(f"eta upper bound: {report['eta_upper_bound']:.6g} "
                   f"(capped moment printed {report['capped_moment_printed']:.6g}, "
                   f"appendix {report['capped_moment_appendix']:.6g}, "
@@ -403,19 +413,17 @@ def main(argv: list[str] | None = None) -> int:
             for variant, res in report["variants"].items():
                 print(f"[{variant}] eta_opt = {res['eta_opt']:.6g}, "
                       f"mse_opt = {res['mse_opt']:.6g}")
-            return 0
-        if args.command == "validate":
+        else:  # validate, the one other subcommand
             from .acceptance import run_acceptance
             results = run_acceptance(args.criteria)
-            ok = all(r.passed for r in results)
-            return 0 if ok else EXIT_ACCEPTANCE
+            return 0 if all(r.passed for r in results) else EXIT_ACCEPTANCE
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (QuadratureError, ValueError, OverflowError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    raise AssertionError(f"unhandled command {args.command}")
+    return 0
 
 
 if __name__ == "__main__":

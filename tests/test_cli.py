@@ -1,7 +1,10 @@
 import csv
 import json
 import math
+import os
+import platform
 import time
+from dataclasses import asdict, astuple
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,7 +12,7 @@ import pytest
 
 from aircomp import acceptance, analytical, cli
 from aircomp.analytical import PAPER_VARIANTS
-from aircomp.cli import CSV_HEADER, RunConfig, UsageError, main
+from aircomp.cli import CSV_HEADER, RunConfig, UsageError, main, resolve_config
 from aircomp.model import NetworkParams
 from aircomp.numerics import QuadratureError
 
@@ -31,15 +34,14 @@ def write_config(tmp_path, **kw):
 class TestRunConfig:
     def test_snr_to_p_max(self, tmp_path):
         cfg = RunConfig.load(str(write_config(tmp_path)), {})
-        assert cfg.network_params().p_max == pytest.approx(1000.0)
+        assert cfg.network.p_max == pytest.approx(1000.0)
 
     def test_default_network_is_the_reference_cell(self):
-        assert RunConfig().network_params() == NetworkParams()
+        assert RunConfig.load(None, {}).network == NetworkParams()
 
     def test_snr_and_p_max_conflict(self):
-        cfg = RunConfig(network={"snr_db": 30.0, "p_max": 100.0})
         with pytest.raises(UsageError):
-            cfg.network_params()
+            resolve_config({"network": {"snr_db": 30.0, "p_max": 100.0}}, {})
 
     def test_unknown_field_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -51,21 +53,21 @@ class TestRunConfig:
         cfg = RunConfig.load(str(write_config(tmp_path)),
                              {"iters": 50, "seed": 9, "mode": "annulus",
                               "out": "elsewhere"})
-        assert cfg.mc_settings()[:3] == (50, 9, "annulus")
+        assert (cfg.mc.iters, cfg.mc.seed, cfg.mc.mode) == (50, 9, "annulus")
         assert cfg.output_dir == "elsewhere"
 
     def test_integral_float_counts_accepted(self):
-        cfg = RunConfig(mc={"iters": 1e4, "jobs": 2.0},
-                        sweep={"parameter": "lambda", "from": 0.02, "to": 0.05,
-                               "steps": 3.0})
-        assert cfg.mc_settings() == (10000, 0, "clamp", 2)
-        assert cfg.sweep_values()[1].size == 3
+        cfg = resolve_config({"mc": {"iters": 1e4, "jobs": 2.0},
+                              "sweep": {"parameter": "lambda", "from": 0.02,
+                                        "to": 0.05, "steps": 3.0}}, {})
+        assert astuple(cfg.mc) == (10000, 0, "clamp", 2)
+        assert len(cfg.points) == 3
 
     def test_log_scale_grid(self):
-        cfg = RunConfig(sweep={"parameter": "lambda", "from": 0.01, "to": 1.0,
-                               "steps": 3, "log_scale": True})
-        name, values = cfg.sweep_values()
-        assert name == "lambda"
+        cfg = resolve_config({"sweep": {"parameter": "lambda", "from": 0.01,
+                                        "to": 1.0, "steps": 3, "log_scale": True}}, {})
+        values = [point.value for point in cfg.points]
+        assert [point.network.density for point in cfg.points] == values
         np.testing.assert_allclose(values, [0.01, 0.1, 1.0], rtol=1e-15)
 
     def test_variant_key_rejected(self, tmp_path, capsys, no_work):
@@ -94,6 +96,25 @@ class TestSweepCommand:
         assert meta["rows"] == 2
         assert meta["config"]["mc"]["iters"] == 200
         assert "wrote" in capsys.readouterr().out
+
+    def test_run_json_holds_the_resolved_run(self, tmp_path):
+        # a config without network and mc sections: run.json still records
+        # every value the run used, and the host it ran on
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({
+            "sweep": {"parameter": "radius", "from": 5.0, "to": 10.0, "steps": 2},
+            "eta_policy": {"fixed": 10.0}, "output_dir": str(tmp_path / "out")}))
+        assert main(["sweep", "--config", str(cfg_path)]) == 0
+        meta = json.loads((tmp_path / "out" / "run.json").read_text())
+        config = meta["config"]
+        assert config["network"] == asdict(NetworkParams())
+        assert config["network"]["p_max"] == 1000.0
+        assert config["mc"] == {"iters": 10000, "seed": 0, "mode": "clamp", "jobs": 1}
+        assert [point["value"] for point in config["points"]] == [5.0, 10.0]
+        assert [point["network"]["radius"] for point in config["points"]] == [5.0, 10.0]
+        assert [point["eta"] for point in config["points"]] == [10.0, 10.0]
+        assert (meta["python"], meta["numpy"], meta["cpu_count"]) == (
+            platform.python_version(), np.__version__, os.cpu_count())
 
     def test_extended_search_is_flagged(self, tmp_path, monkeypatch):
         def extended(params, variant):
@@ -206,6 +227,10 @@ class TestSweepCommand:
         ({"output_dir": 5}, "output_dir"),
         ({"output_dir": None}, "output_dir"),
         ({"network": {"snr_db": 4000.0}}, "network.snr_db"),
+        ({"sweep": {}}, "sweep.parameter must be one of"),
+        ({"network": {"radius": 0.5},
+          "sweep": {"parameter": "radius", "from": 5.0, "to": 10.0}},
+         "bad network config"),
     ], ids=["iters-0", "jobs-0", "mode-bogus", "no-from", "no-to", "wavelength",
             "iters-null", "from-text", "fixed-negative", "density-negative",
             "iters-fraction", "jobs-bool", "steps-fraction", "mc-typo",
@@ -215,7 +240,7 @@ class TestSweepCommand:
             "fixed-infinite", "fixed-huge-int", "snr-text", "density-bool",
             "to-overflow", "from-numeric-text", "steps-1", "from-equals-to",
             "log-from-0", "eta-from-0", "output-dir-number", "output-dir-null",
-            "snr-overflow"])
+            "snr-overflow", "sweep-empty", "swept-radius-invalid"])
     def test_bad_config_is_usage_error(self, tmp_path, capsys, no_work, overrides,
                                        message):
         if isinstance(overrides, dict):
