@@ -3,7 +3,8 @@
 The suite is what `aircomp validate` runs.  Criterion 3 adjudicates the
 analytical-formula variants against the Monte Carlo estimator over the
 device-density grid, which is `aircomp sweep`'s own `run_sweep` on the Fig-2
-configuration; criterion 4 reads the same grid.
+configuration; criterion 4 reads the same grid.  Criterion 5 is
+`aircomp optimal-radius`'s own search, `cli.optimal_radius`, on "rederived".
 """
 
 from __future__ import annotations
@@ -21,9 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from .analytical import (VARIANTS, eta_upper_bound, log_eta_grid,
-                         mse_analytic, optimize_eta, radius_curve,
-                         radius_grid, rician_mean)
-from .cli import main, resolve_config, run_sweep
+                         mse_analytic, optimize_eta, rician_mean)
+from .cli import main, optimal_radius, resolve_config, run_sweep
 from .model import NetworkParams, sample_ppp_chunks, transmit_power
 from .montecarlo import eta_star_realization, realization_mse
 from .numerics import integrate, power_integral
@@ -225,21 +225,17 @@ def criterion_5() -> CriterionResult:
     msgs = []
     passed = True
     for b_factor in (10.0, 15.0, 20.0):
-        radii = radius_grid(5.0, 40.0)
-        mses = radius_curve(NetworkParams(rician_b=b_factor), radii, "rederived")
-        i = int(np.argmin(mses))
-        interior = 0 < i < radii.size - 1
-        reduction = 1.0 - mses[i] / mses[0]
-        msgs.append(f"B={b_factor:.0f}: R_opt={radii[i]:.0f} m, "
+        res = optimal_radius(NetworkParams(rician_b=b_factor), 5.0, 40.0, 5.0, "rederived")
+        r_opt, reduction, interior = res["r_opt"], res["reduction"], not res["boundary_flag"]
+        msgs.append(f"B={b_factor:.0f}: R_opt={r_opt:.1f} m, "
                     f"reduction vs 5 m = {100 * reduction:.1f}%, "
                     f"interior={interior}")
         passed = passed and interior
         if b_factor == 15.0:
-            in_band = 10.0 <= radii[i] <= 20.0 and 0.05 <= reduction <= 0.20
+            in_band = 10.0 <= r_opt <= 20.0 and 0.05 <= reduction <= 0.20
             passed = passed and in_band
             if not in_band:
-                bound = eta_upper_bound(NetworkParams(radius=float(radii[i]),
-                                                      rician_b=b_factor))
+                bound = eta_upper_bound(NetworkParams(radius=r_opt, rician_b=b_factor))
                 msgs.append(
                     "DISCREPANCY: outside the published band; formula-variant "
                     f"gap and bound readings: capped printed "

@@ -11,6 +11,8 @@ it by `resolve_config` before any work.  Every command reports the paper's
 two formula variants, "printed" and "rederived".  `run_sweep` is the one
 analytic-vs-Monte-Carlo sweep: it evaluates every variant, optimizes eta on
 "rederived", and the acceptance suite runs it for criteria 3 and 4.
+`optimal_radius` is the one access-radius search, one variant per call;
+criterion 5 runs it on "rederived".
 Exit codes: 0 success, 1 usage error, 2 numeric failure, 3 acceptance
 failure (validate only).
 """
@@ -258,32 +260,31 @@ def write_csv(path: Path, columns: list[str], rows: list[dict]) -> Path:
 
 
 def optimal_radius(params: NetworkParams, r_min: float, r_max: float,
-                   ref_radius: float) -> dict:
+                   ref_radius: float, variant: str) -> dict:
+    """The variant's eta-optimized MSE on the 1 m radius grid, refined in
+    ln R around its argmin, and its reduction versus ref_radius."""
     if not (1.0 < r_min and r_min + 1.0 <= r_max < math.inf):
         raise UsageError("require 1 < --r-min, --r-min + 1 <= --r-max < inf (a 1 m grid)")
     if not 1.0 < ref_radius < math.inf:
         raise UsageError(f"require 1 < ref_radius < inf, got {ref_radius:g}")
-    report = {"r_min": r_min, "r_max": r_max, "ref_radius": ref_radius,
-              "variants": {}}
-    grid = radius_grid(r_min, r_max)
-    on_grid = np.flatnonzero(grid == ref_radius)
-    for variant in PAPER_VARIANTS:
-        def mse_at(radius: float) -> float:
-            return float(radius_curve(params, [radius], variant)[0])
 
-        grid_mse = radius_curve(params, grid, variant)
-        refined = refine_bracket(mse_at, grid, grid_mse, tol=1e-4)
-        mse_ref = float(grid_mse[on_grid[0]]) if on_grid.size else mse_at(ref_radius)
-        report["variants"][variant] = {
-            "r_opt": refined.x_min,
-            "mse_opt": refined.g_min,
-            "mse_ref": mse_ref,
-            "reduction": 1.0 - refined.g_min / mse_ref,
-            "boundary_flag": refined.edge is not None,
-            "grid_radii": [float(r) for r in grid],
-            "grid_mse": [float(m) for m in grid_mse],
-        }
-    return report
+    def mse_at(radius: float) -> float:
+        return float(radius_curve(params, [radius], variant)[0])
+
+    grid = radius_grid(r_min, r_max)
+    grid_mse = radius_curve(params, grid, variant)
+    refined = refine_bracket(mse_at, grid, grid_mse, tol=1e-4)
+    on_grid = np.flatnonzero(grid == ref_radius)
+    mse_ref = float(grid_mse[on_grid[0]]) if on_grid.size else mse_at(ref_radius)
+    return {
+        "r_opt": refined.x_min,
+        "mse_opt": refined.g_min,
+        "mse_ref": mse_ref,
+        "reduction": 1.0 - refined.g_min / mse_ref,
+        "boundary_flag": refined.edge is not None,
+        "grid_radii": [float(r) for r in grid],
+        "grid_mse": [float(m) for m in grid_mse],
+    }
 
 
 def eta_report(params: NetworkParams, n_points: int) -> dict:
@@ -386,8 +387,10 @@ def main(argv: list[str] | None = None) -> int:
             path = write_csv(out_dir / "results.csv", CSV_HEADER, rows)
             print(f"wrote {path} ({len(rows)} rows)")
         elif args.command == "optimal-radius":
-            report = optimal_radius(cfg.network, args.r_min, args.r_max, args.ref_radius)
-            out_dir = _output_dir(cfg, {})
+            scan = {"r_min": args.r_min, "r_max": args.r_max, "ref_radius": args.ref_radius}
+            report = {**scan, "variants": {v: optimal_radius(cfg.network, **scan, variant=v)
+                                           for v in PAPER_VARIANTS}}
+            out_dir = _output_dir(cfg, scan)
             (out_dir / "optimal_radius.json").write_text(
                 json.dumps(report, indent=2) + "\n")
             for variant, res in report["variants"].items():
@@ -398,7 +401,7 @@ def main(argv: list[str] | None = None) -> int:
                       + (" [boundary]" if res["boundary_flag"] else ""))
         elif args.command == "eta-report":
             report = eta_report(cfg.network, n_points=args.points)
-            out_dir = _output_dir(cfg, {})
+            out_dir = _output_dir(cfg, {"points": args.points})
             write_csv(out_dir / "eta_curve.csv", ["eta", *PAPER_VARIANTS],
                       report["curve"])
             (out_dir / "eta_report.json").write_text(

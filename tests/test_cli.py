@@ -320,6 +320,11 @@ class TestEtaReportCommand:
         assert etas[-1] == pytest.approx(res["search_hi"], rel=1e-12)
         assert etas[-1] >= res["eta_opt"]
 
+    def test_run_json_records_points(self, tmp_path):
+        cfg_path = write_config(tmp_path)
+        assert main(["eta-report", "--config", str(cfg_path), "--points", "20"]) == 0
+        assert json.loads((tmp_path / "out" / "run.json").read_text())["points"] == 20
+
     def test_no_points_is_usage_error(self, tmp_path, capsys, no_work):
         # a curve needs two points to end at search_hi
         cfg_path = write_config(tmp_path)
@@ -338,12 +343,12 @@ def patch_optimize_eta(monkeypatch, replacement):
 
 @pytest.fixture
 def parabola(monkeypatch):
-    """Count optimize_eta calls and make each one instant: the optimized MSE
-    is a parabola in R with its minimum at 12.2 m."""
+    """Record each optimize_eta call's radius and variant and make the call
+    instant: the optimized MSE is a parabola in R with its minimum at 12.2 m."""
     calls = []
 
     def fake(params, variant="rederived", **kw):
-        calls.append(params.radius)
+        calls.append((params.radius, variant))
         return SimpleNamespace(mse=(params.radius - 12.2) ** 2 + 1.0)
 
     patch_optimize_eta(monkeypatch, fake)
@@ -392,6 +397,17 @@ class TestOptimalRadiusCommand:
         radius_report(tmp_path, "11", "15", "5")
         for variant in PAPER_VARIANTS:
             assert 0 < sum(args[1] == variant for args in calls) <= 5 + 20 + 1
+
+    def test_one_variant_per_call(self, parabola):
+        res = cli.optimal_radius(NetworkParams(), 11.0, 15.0, 5.0, "printed")
+        assert {variant for _, variant in parabola} == {"printed"}
+        assert res["r_opt"] == pytest.approx(12.2, rel=1e-3)
+        assert not res["boundary_flag"]
+
+    def test_run_json_records_the_scan(self, tmp_path, parabola):
+        radius_report(tmp_path, "11", "15", "12")
+        meta = json.loads((tmp_path / "out" / "run.json").read_text())
+        assert (meta["r_min"], meta["r_max"], meta["ref_radius"]) == (11.0, 15.0, 12.0)
 
     def test_ref_radius_on_the_grid_reads_the_grid(self, tmp_path, parabola):
         off_grid = radius_report(tmp_path, "11", "15", "5")
@@ -465,6 +481,20 @@ class TestValidateCommand:
             assert all(r.passed for r in results)
             assert results[0].seconds >= 0.1
             assert all(r.seconds < 0.1 for r in results[1:])
+
+    def test_criterion_5_out_of_band(self, parabola):
+        # criterion 5 runs optimal-radius's search: the parabola's minimum,
+        # 12.2 m, cuts the MSE by 98 % versus 5 m, outside the published band,
+        # so the criterion fails and reads the bounds at the refined radius
+        result = acceptance.criterion_5()
+        assert not result.passed
+        for b_factor in (10, 15, 20):
+            assert f"B={b_factor}: R_opt=12.2 m," in result.detail
+        r_opt = cli.optimal_radius(NetworkParams(), 5.0, 40.0, 5.0, "rederived")["r_opt"]
+        bound = analytical.eta_upper_bound(NetworkParams(radius=r_opt))
+        assert ("DISCREPANCY: outside the published band; formula-variant gap and "
+                f"bound readings: capped printed {bound.capped_moment_printed:.4g} "
+                f"vs appendix {bound.capped_moment_appendix:.4g}") in result.detail
 
     @pytest.mark.parametrize("criteria", ["x", "9"], ids=["not-a-number", "unknown"])
     def test_bad_criteria_exit_one(self, capsys, criteria):

@@ -75,6 +75,22 @@ def test_analytic_and_monte_carlo_layers_apart():
     assert "montecarlo" not in _package_imports(package / "analytical.py")
 
 
+def _calls(names: set[str], exempt: tuple[str, ...]) -> list[str]:
+    """Each call of a function named in names from a module not in exempt."""
+    assert SOURCES
+    found = []
+    for path in SOURCES:
+        if path.name in exempt:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                if name in names:
+                    found.append(f"{path.name}:{node.lineno} calls {name}")
+    return found
+
+
 # What builds a (seed, i) stream, and the Generator methods that draw from it
 SAMPLING = {"SeedSequence", "PCG64", "default_rng", "poisson", "random", "uniform",
             "standard_normal"}
@@ -83,34 +99,21 @@ SAMPLING = {"SeedSequence", "PCG64", "default_rng", "poisson", "random", "unifor
 def test_one_sampler():
     # model.sample_ppp_chunks is the only sampler: no other module builds a
     # (seed, i) stream or draws from a Generator
-    assert SOURCES
-    found = []
-    for path in SOURCES:
-        if path.name == "model.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Call):
-                func = node.func
-                name = getattr(func, "id", None) or getattr(func, "attr", None)
-                if name in SAMPLING:
-                    found.append(f"{path.name}:{node.lineno} calls {name}")
+    found = _calls(SAMPLING, ("model.py",))
     assert not found, found
 
 
 def test_one_sweep():
     # cli.run_sweep is the one analytic-vs-Monte-Carlo sweep (the acceptance
     # grid runs it too): no other module calls estimate_mse
-    assert SOURCES
-    found = []
-    for path in SOURCES:
-        if path.name in ("cli.py", "montecarlo.py"):
-            continue
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Call):
-                func = node.func
-                name = getattr(func, "id", None) or getattr(func, "attr", None)
-                if name == "estimate_mse":
-                    found.append(f"{path.name}:{node.lineno} calls {name}")
+    found = _calls({"estimate_mse"}, ("cli.py", "montecarlo.py"))
+    assert not found, found
+
+
+def test_one_radius_search():
+    # cli.optimal_radius is the one access-radius search (criterion 5 runs it
+    # too): no module but analytical and cli calls radius_curve
+    found = _calls({"radius_curve"}, ("analytical.py", "cli.py"))
     assert not found, found
 
 

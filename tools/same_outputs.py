@@ -6,7 +6,9 @@ Each SRC is a directory that holds the `aircomp` package, such as a
 checkout's `src`.  For each tree, in a fresh temporary directory, it runs
 `aircomp sweep` on README's example config at --jobs 1 and at --jobs 4,
 `aircomp optimal-radius --r-min 5 --r-max 40 --ref-radius 5`,
-`aircomp eta-report` and `aircomp validate`.  It compares results.csv,
+`aircomp eta-report` and `aircomp validate`.  It also runs three more
+sweeps of that config, each at --jobs 1 and 4 with 2000 iterations: eta on
+a log scale, rician_b, and radius in annulus mode.  It compares results.csv,
 optimal_radius.json, eta_report.json, eta_curve.csv and every command's exit
 code and stdout.  run.json is skipped, since it holds a timestamp and the
 host, and so are the seconds that validate prints per criterion.  Exits 0
@@ -33,6 +35,19 @@ CONFIG = {
     "output_dir": "out",
 }
 
+# README's config with another swept parameter and 2000 iterations: with
+# its lambda sweep, one sweep per way a one-pass Monte Carlo could group the
+# points (ROADMAP item 12)
+FEW = {**CONFIG["mc"], "iters": 2000}
+SWEEPS = {
+    "eta": {**CONFIG, "mc": FEW, "sweep": {"parameter": "eta", "from": 1.0, "to": 100.0,
+                                           "steps": 5, "log_scale": True}},
+    "rician_b": {**CONFIG, "mc": FEW, "sweep": {"parameter": "rician_b", "from": 0.0,
+                                                "to": 20.0, "steps": 5}},
+    "radius": {**CONFIG, "mc": {**FEW, "mode": "annulus"},
+               "sweep": {"parameter": "radius", "from": 5.0, "to": 20.0, "steps": 4}},
+}
+
 # (name, arguments, output files); paths are relative to the run directory,
 # so that the paths the commands print are the same for both trees
 RUNS = [
@@ -46,6 +61,9 @@ RUNS = [
     ("eta-report", ["eta-report", "--config", "config.json"],
      ["out/eta_report.json", "out/eta_curve.csv"]),
     ("validate", ["validate"], []),
+    *((f"{name} sweep --jobs {jobs}", ["sweep", "--config", f"{name}.json", "--jobs",
+                                       str(jobs), "--out", f"{name}{jobs}"],
+       [f"{name}{jobs}/results.csv"]) for name in SWEEPS for jobs in (1, 4)),
 ]
 
 # validate's result line ends in the criterion's wall time, e.g. " (4.4s)"
@@ -62,6 +80,8 @@ def outputs(src: Path) -> dict[str, bytes | None]:
     env = {**os.environ, "PYTHONPATH": str(src.resolve())}
     with tempfile.TemporaryDirectory() as tmp:
         (Path(tmp) / "config.json").write_text(json.dumps(CONFIG))
+        for name, config in SWEEPS.items():
+            (Path(tmp) / f"{name}.json").write_text(json.dumps(config))
         for name, args, files in RUNS:
             print(f"{src}: aircomp {' '.join(args)}", file=sys.stderr)
             proc = subprocess.run([sys.executable, "-c", ENTRY_POINT, *args],
