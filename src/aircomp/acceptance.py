@@ -327,7 +327,7 @@ def criterion_8() -> CriterionResult:
     }
     with tempfile.TemporaryDirectory() as tmp:
         cfg_path = Path(tmp) / "config.json"
-        outputs = []
+        outputs, workers = [], []
         for run, jobs in (("a", 1), ("b", 1), ("c", 4)):
             cfg = dict(config, output_dir=str(Path(tmp) / run))
             cfg_path.write_text(json.dumps(cfg))
@@ -337,11 +337,14 @@ def criterion_8() -> CriterionResult:
                 return CriterionResult(8, "determinism", False,
                                        f"sweep exited with code {code}")
             outputs.append((Path(tmp) / run / "results.csv").read_bytes())
+            record = json.loads((Path(tmp) / run / "run.json").read_text())
+            workers.append(record["mc_workers"])
     same_run = outputs[0] == outputs[1]
     same_jobs = outputs[0] == outputs[2]
     return CriterionResult(
         8, "determinism", same_run and same_jobs,
-        f"repeat run identical: {same_run}; jobs 1 vs 4 identical: {same_jobs}")
+        f"repeat run identical: {same_run}; jobs 1 vs 4 identical: {same_jobs} "
+        f"({workers[0]} vs {workers[2]} workers)")
 
 
 # --- runner ---------------------------------------------------------------------

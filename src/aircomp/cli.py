@@ -37,7 +37,7 @@ from .analytical import (PAPER_VARIANTS, VARIANTS, eta_upper_bound, log_eta_grid
                          mse_analytic, optimize_eta, radius_curve, radius_grid,
                          rician_mean)
 from .model import MODES, NetworkParams
-from .montecarlo import estimate_mse
+from .montecarlo import estimate_mse, worker_count
 from .numerics import QuadratureError, refine_bracket
 
 CSV_HEADER = ["param_value", "eta_used",
@@ -383,7 +383,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "sweep":
             rows = run_sweep(cfg)
-            out_dir = _output_dir(cfg, {"rows": len(rows)})
+            out_dir = _output_dir(cfg, {"rows": len(rows),
+                                        "mc_workers": worker_count(cfg.mc.jobs, cfg.mc.iters)})
             path = write_csv(out_dir / "results.csv", CSV_HEADER, rows)
             print(f"wrote {path} ({len(rows)} rows)")
         elif args.command == "optimal-radius":

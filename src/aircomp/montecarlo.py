@@ -31,6 +31,7 @@ __all__ = [
     "realization_mse",
     "eta_star_realization",
     "estimate_mse",
+    "worker_count",
 ]
 
 
@@ -114,6 +115,11 @@ def _mc_range(args) -> np.ndarray:
     return np.array(values)
 
 
+def worker_count(n_jobs: int, n_iter: int) -> int:
+    """The worker processes estimate_mse runs: min(n_jobs, n_iter, cpu count)."""
+    return min(n_jobs, n_iter, os.cpu_count() or 1)
+
+
 def estimate_mse(params: NetworkParams, eta: float, n_iter: int, seed: int,
                  mode: str = "clamp", n_jobs: int = 1) -> MseEstimate:
     """Sample mean and standard error of the MSE over n_iter realizations.
@@ -122,7 +128,7 @@ def estimate_mse(params: NetworkParams, eta: float, n_iter: int, seed: int,
     left with no devices by the inner-disc policy are skipped (the
     device-count expectation conditions on K >= 1) and counted out of
     n_used.  n_jobs caps the worker processes: the iterations are split into
-    one contiguous range for each of min(n_jobs, n_iter, cpu count) workers,
+    one contiguous range for each of worker_count(n_jobs, n_iter) workers,
     and a single range runs in this process.  The ranges are joined in
     iteration order, so the result does not depend on n_jobs.
     """
@@ -134,7 +140,7 @@ def estimate_mse(params: NetworkParams, eta: float, n_iter: int, seed: int,
         raise ValueError("n_jobs must be >= 1")
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    workers = min(n_jobs, n_iter, os.cpu_count() or 1)
+    workers = worker_count(n_jobs, n_iter)
     bounds = [n_iter * j // workers for j in range(workers + 1)]
     ranges = [(params, eta, seed, lo, hi, mode) for lo, hi in zip(bounds, bounds[1:])]
     if workers == 1:

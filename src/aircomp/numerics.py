@@ -4,9 +4,15 @@ integral, and the refinement of a minimum bracketed by a scan.
 The quadrature, `integrate(f, a, b, rel_tol, abs_tol)`, is a globally
 adaptive Gauss-Kronrod (G7, K15) scheme with the embedded 7-point Gauss rule
 providing the per-panel error estimate.  Array limits run many integrals in
-lockstep, each with its own panels and stopping rule: every round evaluates
-both halves of each running integral's worst panel in one call of the
-integrand, and an integral gives up after 2000 bisections.  The minimizer is
+lockstep, each with its own panels and stopping rule, and an integral gives
+up after 2000 bisections.  A round is one call of the integrand: it
+evaluates, for each running integral, the subtree below its worst panel
+(halves, and quarters while one integral runs), and each integral then
+replays the one-bisection-per-step rule from those panels until it needs
+one that was not evaluated.  The first call evaluates every interval and as
+much of the subtree below it as fits in a round.  The replay makes the same
+bisections with the same float updates as one bisection per call, so only
+the number of calls changes, not a bit of the result.  The minimizer is
 `refine_bracket`: Brent's method in ln x, started at the argmin of the
 caller's grid scan and kept between its two neighbours.  The scans are the
 caller's: `analytical.log_eta_grid` for eta, `analytical.radius_grid` for
@@ -31,6 +37,15 @@ __all__ = [
 
 # Bisections integrate makes before it gives up on its tolerance.
 _MAX_SUBDIVISIONS = 2000
+
+# Panels one round of integrate evaluates ahead when few integrals run: the
+# lookahead goes as deep as every running integral's subtree fits in them,
+# so a lone integral looks two levels ahead and two or more look one (the
+# first call, none from four integrals on).  On the benchmark's
+# analytic-point pool 6 took less time than 16 (three levels for one
+# integral) and than 2 (halves only): every node costs integrand time, and
+# the replay leaves more of a deeper subtree unused.
+_ROUND_PANELS = 6
 
 
 class QuadratureError(RuntimeError):
@@ -64,7 +79,10 @@ def _gk15(f, ends: np.ndarray, k: np.ndarray):
     """Gauss-Kronrod panels from one call of f on all their nodes.
 
     ends holds the (a, b) of each panel and k the integral index of each
-    node.  Returns the K15 estimate and the error estimate of each panel.
+    node.  Returns the K15 estimate and the error estimate of each panel.  A
+    nan or an infinity of f makes the panel's K15 estimate non-finite (its
+    weights are all positive), and the caller checks that when it uses the
+    panel.
     """
     half = 0.5 * (ends[:, 1] - ends[:, 0])
     mid = 0.5 * (ends[:, 0] + ends[:, 1])
@@ -79,12 +97,6 @@ def _gk15(f, ends: np.ndarray, k: np.ndarray):
     y = y.reshape(len(ends), _XK.size)
     sk = (y * _WK).sum(axis=1)
     vals = (half * sk).tolist()
-    # the positive weights carry a nan or an infinity of y into sk
-    if not all(map(math.isfinite, vals)):
-        p = next(p for p, v in enumerate(vals) if not math.isfinite(v))
-        raise QuadratureError(
-            f"integrand returned a non-finite value on [{ends[p, 0]!r}, "
-            f"{ends[p, 1]!r}] of integral {k[p * _XK.size]}")
     ig = half * (y[:, 1::2] * _WG).sum(axis=1)
     # QUADPACK-style sharpened error estimate; the panel mean is sk / 2
     resasc = half * (np.abs(y - (0.5 * sk)[:, None]) * _WK).sum(axis=1)
@@ -98,6 +110,36 @@ def _gk15(f, ends: np.ndarray, k: np.ndarray):
     return vals, errs
 
 
+def _non_finite(i: int, pa: float, pb: float) -> str:
+    return f"integrand returned a non-finite value on [{pa!r}, {pb!r}] of integral {i}"
+
+
+def _state(total: float, err: float) -> str:
+    return f"(estimate {total!r}, error bound {err!r})"
+
+
+def _lookahead(roots, depth: int = 1):
+    """The bisections below each (i, a, b) of roots: the root, its halves,
+    their halves and so on, at least depth levels deep and as deep as every
+    subtree's halves fit in _ROUND_PANELS panels.  Returns the (i, pa, pb)
+    of each panel bisected and, two per bisection in the same order, the
+    (i, a, b) of its halves.  A panel too narrow to split in double
+    precision is not bisected."""
+    while max(len(roots), 1) * (2 ** (depth + 2) - 2) <= _ROUND_PANELS:
+        depth += 1
+    splits, halves, level = [], [], roots
+    for _ in range(depth):
+        below = []
+        for i, pa, pb in level:
+            pm = 0.5 * (pa + pb)
+            if pa < pm < pb:
+                splits.append((i, pa, pb))
+                below += ((i, pa, pm), (i, pm, pb))
+        halves += below
+        level = below
+    return splits, halves
+
+
 def integrate(f, a, b, rel_tol: float, abs_tol: float):
     """Adaptive integrals of f over [a, b], each to max(abs_tol, rel_tol*|I|).
 
@@ -106,10 +148,19 @@ def integrate(f, a, b, rel_tol: float, abs_tol: float):
     integrals run in lockstep: each keeps its own panels, totals and stopping
     rule, so it makes exactly the bisections it would make alone.  f(x, k)
     is called on an array of nodes x, k being the integral index of each
-    node, and must return an array of the same shape: once on the 15 nodes
-    of every [a_i, b_i], then once per round on the 30 nodes of both halves
-    of the panel with the largest error estimate of every integral still
-    short of its tolerance.  Each integral gives up after 2000 bisections.
+    node, and must return an array of the same shape, once per round.  A
+    round looks ahead: for every integral still short of its tolerance it
+    evaluates the subtree below the panel with the largest error estimate,
+    its halves, their halves and so on (see _lookahead); the first round
+    evaluates every [a_i, b_i] and as much of the subtree below it as fits.
+    Each integral then replays the sequential rule from those panels:
+    bisect the worst panel, add its halves, update the totals, until it
+    converges or a half it needs was not evaluated.  So it makes the same
+    bisections, in the same order and with the same float updates, as one
+    bisection per call would.  Each integral gives up after 2000
+    bisections.  A non-finite value, the cap
+    and a panel too narrow to split raise only when the replay reaches them,
+    in the order in which one bisection per round would have met them.
     """
     lo = np.asarray(a, dtype=float)
     hi = np.asarray(b, dtype=float)
@@ -125,40 +176,85 @@ def integrate(f, a, b, rel_tol: float, abs_tol: float):
         raise ValueError(
             f"require a <= b, got a={ends[i, 0]!r}, b={ends[i, 1]!r}")
 
-    totals, total_errs = _gk15(f, ends, np.arange(m).repeat(_XK.size))
-    # per integral, a max-heap of panels keyed by error (heapq is a
-    # min-heap; negate)
-    heaps = [[(-e, pa, pb, v, e)] for (pa, pb), v, e
-             in zip(ends.tolist(), totals, total_errs)]
-    running = range(m)
-    for bisections in range(_MAX_SUBDIVISIONS + 1):
-        running = [i for i in running if total_errs[i]
-                   > max(abs_tol, rel_tol * abs(totals[i]))]
-        if not running:
-            break
-        if bisections == _MAX_SUBDIVISIONS:
-            i = running[0]
-            raise QuadratureError(
-                f"quadrature of integral {i} did not converge after "
-                f"{_MAX_SUBDIVISIONS} subdivisions (estimate {totals[i]!r}, "
-                f"error bound {total_errs[i]!r})")
-        popped = [heapq.heappop(heaps[i]) for i in running]
-        halves = []
-        for i, (_, pa, pb, _, _) in zip(running, popped):
+    def evaluate(panels):
+        """The value and error estimate of each (i, a, b) of panels, from
+        one call of f."""
+        cells = np.array(panels).reshape(-1, 3)
+        return _gk15(f, cells[:, 1:], cells[:, 0].astype(int).repeat(_XK.size))
+
+    def store(splits, vals, errs):
+        """Keep, under its (pa, pb) for integral i, each bisection's (lval,
+        lerr, rval, rerr)."""
+        for (i, pa, pb), lval, lerr, rval, rerr in zip(
+                splits, vals[::2], errs[::2], vals[1::2], errs[1::2]):
+            looked[i][pa, pb] = (lval, lerr, rval, rerr)
+
+    # per integral, the looked-ahead bisections: (pa, pb) -> the values and
+    # error estimates of its halves
+    looked = [{} for _ in range(m)]
+    # the first call evaluates the roots and, ahead, as much of their
+    # subtrees as fits in a round
+    roots = [(i, pa, pb) for i, (pa, pb) in enumerate(ends.tolist())]
+    splits, halves = _lookahead(roots, 0)
+    vals, errs = evaluate(roots + halves)
+    totals, total_errs = vals[:m], errs[:m]
+    store(splits, vals[m:], errs[m:])
+    for i, pa, pb in roots:
+        if not math.isfinite(totals[i]):
+            raise QuadratureError(_non_finite(i, pa, pb))
+    # ((bisections, kind, i), message); kind 0, 1, 2 orders the cap, an
+    # unsplittable panel and a non-finite half as one round meets them
+    failures = []
+
+    def bisect(i: int):
+        """Integral i's sequential rule, from its looked-ahead bisections:
+        yields (bisections made, pa, pb) whenever it needs the halves of
+        [pa, pb] evaluated, and stores its total once it converges."""
+        total, err, cache = totals[i], total_errs[i], looked[i]
+        # a max-heap of panels keyed by error (heapq is a min-heap; negate);
+        # no two panels tie, so a pop does not depend on the push order
+        heap = [(-err, *roots[i][1:], total, err)]
+        done = 0
+        while err > max(abs_tol, rel_tol * abs(total)):
+            if done == _MAX_SUBDIVISIONS:
+                failures.append(((done, 0, i), (
+                    f"quadrature of integral {i} did not converge after "
+                    f"{_MAX_SUBDIVISIONS} subdivisions {_state(total, err)}")))
+                return
+            _, pa, pb, pval, perr = heap[0]
             pm = 0.5 * (pa + pb)
             if not pa < pm < pb:
-                raise QuadratureError(
+                failures.append(((done, 1, i), (
                     f"quadrature of integral {i} did not converge: panel "
                     f"[{pa!r}, {pb!r}] cannot be split in double precision "
-                    f"(estimate {totals[i]!r}, error bound {total_errs[i]!r})")
-            halves += ((pa, pm), (pm, pb))
-        val, err = _gk15(f, np.array(halves),
-                         np.array(running).repeat(2 * _XK.size))
-        for j, (i, (_, _, _, pval, perr)) in enumerate(zip(running, popped)):
-            totals[i] += val[2 * j] + val[2 * j + 1] - pval
-            total_errs[i] += err[2 * j] + err[2 * j + 1] - perr
-            for h in (2 * j, 2 * j + 1):
-                heapq.heappush(heaps[i], (-err[h], *halves[h], val[h], err[h]))
+                    f"{_state(total, err)}")))
+                return
+            while (halves := cache.pop((pa, pb), None)) is None:
+                yield done, pa, pb
+            lval, lerr, rval, rerr = halves
+            for qa, qb, v in ((pa, pm, lval), (pm, pb, rval)):
+                if not math.isfinite(v):
+                    failures.append(((done, 2, i), _non_finite(i, qa, qb)))
+                    return
+            total += lval + rval - pval
+            err += lerr + rerr - perr
+            heapq.heapreplace(heap, (-lerr, pa, pm, lval, lerr))
+            heapq.heappush(heap, (-rerr, pm, pb, rval, rerr))
+            done += 1
+        totals[i] = total
+
+    rules = [bisect(i) for i in range(m)]
+    needs = {i: need for i in range(m) if (need := next(rules[i], None))}
+    while True:
+        # raise the first failure once no waiting integral can fail before it
+        if failures and all(min(failures)[0] < (n, 2, i)
+                            for i, (n, _, _) in needs.items()):
+            raise QuadratureError(min(failures)[1])
+        if not needs:
+            break
+        splits, halves = _lookahead([(i, pa, pb) for i, (_, pa, pb) in needs.items()])
+        store(splits, *evaluate(halves))
+        needs = {i: need for i in needs if (need := next(rules[i], None))}
     return totals[0] if scalar else np.array(totals)
 
 

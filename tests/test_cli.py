@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from aircomp import acceptance, analytical, cli
+from aircomp import acceptance, analytical, cli, montecarlo
 from aircomp.analytical import PAPER_VARIANTS
 from aircomp.cli import CSV_HEADER, RunConfig, UsageError, main, resolve_config
 from aircomp.model import NetworkParams
@@ -115,6 +115,13 @@ class TestSweepCommand:
         assert [point["eta"] for point in config["points"]] == [10.0, 10.0]
         assert (meta["python"], meta["numpy"], meta["cpu_count"]) == (
             platform.python_version(), np.__version__, os.cpu_count())
+
+    def test_run_json_records_the_workers_that_ran(self, tmp_path, monkeypatch):
+        # --jobs 4 on a one-CPU host runs one worker, and run.json says so
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 1)
+        assert main(["sweep", "--config", str(write_config(tmp_path)), "--jobs", "4"]) == 0
+        meta = json.loads((tmp_path / "out" / "run.json").read_text())
+        assert (meta["config"]["mc"]["jobs"], meta["mc_workers"]) == (4, 1)
 
     def test_extended_search_is_flagged(self, tmp_path, monkeypatch):
         def extended(params, variant):

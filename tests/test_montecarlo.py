@@ -166,6 +166,7 @@ class TestEstimateMse:
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
         params = NetworkParams()
         got = estimate_mse(params, 10.0, n_iter, seed=5, n_jobs=n_jobs)
+        assert montecarlo.worker_count(n_jobs, n_iter) == workers
         assert started == ([workers] if workers > 1 else [])
         assert mapped == ([workers] if workers > 1 else [])
         assert got == estimate_mse(params, 10.0, n_iter, seed=5, n_jobs=1)

@@ -1,8 +1,11 @@
 import heapq
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aircomp import numerics
 from aircomp.numerics import QuadratureError, integrate, refine_bracket
@@ -11,33 +14,73 @@ TOL = (1e-8, 1e-12)  # (rel_tol, abs_tol)
 TIGHT = (1e-10, 1e-14)
 
 
-def two_call_integrate_oracle(f, a, b, rel_tol, abs_tol):
-    """The same adaptive G7-K15 scheme with one integrand call per panel,
-    two per bisection.  Returns (integral, number of bisections)."""
-    def panel(lo, hi):
-        half, mid = 0.5 * (hi - lo), 0.5 * (lo + hi)
-        y = np.asarray(f(mid + half * numerics._XK), dtype=float)
-        ik = half * float(numerics._WK @ y)
-        ig = half * float(numerics._WG @ y[1::2])
-        resasc = half * float(numerics._WK @ np.abs(y - ik / (hi - lo)))
-        diff = abs(ik - ig)
-        if resasc > 0 and diff > 0:
-            return ik, resasc * min(1.0, (200.0 * diff / resasc) ** 1.5)
-        return ik, diff
+def sequential_integrate(f, a, b, rel_tol, abs_tol, cap=None):
+    """integrate's adaptive G7-K15 rule made one bisection per step, with
+    the halves of each step from one numerics._gk15 call.  Stops at its
+    tolerance or after cap bisections.  Returns (integral, error estimate,
+    bisections)."""
+    def gk15(*ends):
+        return numerics._gk15(lambda x, _: f(x), np.array(ends),
+                              np.zeros(numerics._XK.size * len(ends), dtype=int))
 
-    val, err = panel(a, b)
+    (val,), (err,) = gk15((a, b))
     heap = [(-err, a, b, val, err)]
     total, total_err, bisections = val, err, 0
-    while total_err > max(abs_tol, rel_tol * abs(total)):
+    while total_err > max(abs_tol, rel_tol * abs(total)) and bisections != cap:
         _, pa, pb, pval, perr = heapq.heappop(heap)
         pm = 0.5 * (pa + pb)
-        (lv, le), (rv, re_) = panel(pa, pm), panel(pm, pb)
+        (lv, rv), (le, re_) = gk15((pa, pm), (pm, pb))
         total += lv + rv - pval
         total_err += le + re_ - perr
         heapq.heappush(heap, (-le, pa, pm, lv, le))
         heapq.heappush(heap, (-re_, pm, pb, rv, re_))
         bisections += 1
-    return total, bisections
+    return total, total_err, bisections
+
+
+def assert_bisections(monkeypatch, integral, n):
+    """integral() converges within n bisections, and not within n - 1."""
+    monkeypatch.setattr(numerics, "_MAX_SUBDIVISIONS", n)
+    integral()
+    if n > 0:
+        monkeypatch.setattr(numerics, "_MAX_SUBDIVISIONS", n - 1)
+        with pytest.raises(QuadratureError, match=f"did not converge after {n - 1} "):
+            integral()
+    monkeypatch.undo()
+
+
+def peaked(peak, width=1e-3):
+    return lambda x: np.sqrt(x) + 1.0 / (width + (x - peak) ** 2)
+
+
+def assert_lockstep(monkeypatch, a, b, peaks):
+    """integrate over the arrays a and b, the second interval empty, gives
+    each integral the sequential rule's result on its own interval, bit for
+    bit, and converges within the most bisections any of them makes."""
+    a, b, peaks = np.array(a), np.array(b), np.array(peaks)
+
+    def f(x, k):
+        return np.sqrt(x) + 1.0 / (1e-3 + (x - peaks[k]) ** 2)
+
+    got = integrate(f, a, b, *TIGHT)
+    assert isinstance(got, np.ndarray) and got.shape == a.shape
+    bisections = []
+    for i in range(a.size):
+        want, _, n = sequential_integrate(peaked(peaks[i]), float(a[i]), float(b[i]), *TIGHT)
+        alone = integrate(lambda x, _: f(x, i), float(a[i]), float(b[i]), *TIGHT)
+        assert isinstance(alone, float)
+        assert got[i] == alone == want
+        bisections.append(n)
+    assert got[1] == 0.0 and bisections[1] == 0
+    assert min(bisections[0], bisections[2]) > 0
+    assert_bisections(monkeypatch, lambda: integrate(f, a, b, *TIGHT), max(bisections))
+
+
+def panel_nodes(*panels):
+    """The 15 nodes of each (a, b), as integrate places them."""
+    ends = np.array(panels)
+    return (0.5 * (ends[:, :1] + ends[:, 1:])
+            + 0.5 * (ends[:, 1:] - ends[:, :1]) * numerics._XK).ravel()
 
 
 class TestIntegrate:
@@ -83,12 +126,55 @@ class TestIntegrate:
 
     def test_nonconvergence_raises_at_the_cap(self):
         # about 1.6e7 periods: 2000 bisections cannot resolve them, and every
-        # panel stays splittable, so the subdivision cap is what stops it
-        calls = []
-        with pytest.raises(QuadratureError, match="did not converge after 2000"):
-            integrate(lambda x, _: calls.append(x.size) or np.cos(1e5 * x),
-                      0.0, 1e3, *TOL)
-        assert len(calls) == 1 + numerics._MAX_SUBDIVISIONS == 2001
+        # panel stays splittable, so the subdivision cap is what stops it;
+        # the estimate it reports is the sequential rule's after exactly
+        # 2000 bisections
+        def f(x):
+            return np.cos(1e5 * x)
+
+        total, err, n = sequential_integrate(f, 0.0, 1e3, *TOL, cap=2000)
+        assert n == numerics._MAX_SUBDIVISIONS == 2000
+        with pytest.raises(QuadratureError, match=re.escape(
+                f"did not converge after 2000 subdivisions (estimate {total!r}, "
+                f"error bound {err!r})")):
+            integrate(lambda x, _: f(x), 0.0, 1e3, *TOL)
+
+    def test_unused_lookahead_panel_cannot_raise(self):
+        # |x - 1/2| converges after one bisection of [0, 1]; the quarter
+        # [0, 1/4] lies in a lookahead but no bisection uses it, so its nan
+        # must not raise
+        bad = panel_nodes((0.0, 0.25))
+
+        def f(x, _):
+            return np.where(np.isin(x, bad), np.nan, np.abs(x - 0.5))
+
+        assert integrate(f, 0.0, 1.0, *TOL) == pytest.approx(0.25, rel=1e-15)
+
+    def test_non_finite_half_raises_when_used(self):
+        bad = panel_nodes((0.0, 0.5))
+        with pytest.raises(QuadratureError,
+                           match=r"non-finite value on \[0\.0, 0\.5\] of integral 0$"):
+            integrate(lambda x, _: np.where(np.isin(x, bad), np.nan, np.abs(x - 0.5)),
+                      0.0, 1.0, *TOL)
+
+    def test_lockstep_failures_raise_in_round_order(self):
+        # in their first round integral 0 meets a nan in a half and integral 1
+        # a panel one ulp wide, whose nodes below 1 make a step; a round
+        # checks every split before it evaluates, so integral 1's is the
+        # error, as the sequential rule run in lockstep would raise it
+        a = np.array([0.0, 1.0])
+        b = np.array([1.0, math.nextafter(1.0, 2.0)])
+        bad = panel_nodes((0.0, 0.5))
+
+        def f(x, k):
+            return np.where(k == 0, np.where(np.isin(x, bad), np.nan, np.abs(x - 0.5)),
+                            np.where(x < 1.0, 1e20, 0.0))
+
+        with pytest.raises(QuadratureError, match=r"integral 1 did not converge: panel "
+                           r"\[1\.0, 1\.0000000000000002\] cannot be split"):
+            integrate(f, a, b, *TOL)
+        with pytest.raises(QuadratureError, match=r"\[0\.0, 0\.5\] of integral 0$"):
+            integrate(f, a[:1], b[:1], *TOL)
 
     def test_scalar_only_integrand_raises(self):
         # f is called on the node array and must return one value per node
@@ -97,44 +183,46 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             integrate(lambda x, _: 1.0, 0.0, 2.0, *TOL)
 
-    def test_one_integrand_call_per_bisection(self):
-        def f(x):
-            return np.sqrt(x) + 1.0 / (1e-3 + (x - 0.3) ** 2)
-
-        sizes = []
-        got = integrate(lambda x, _: sizes.append(x.size) or f(x), 0.0, 1.0, *TIGHT)
-        expected, bisections = two_call_integrate_oracle(f, 0.0, 1.0, *TIGHT)
+    def test_same_bisections_as_sequential_rule(self, monkeypatch):
+        # each round looks ahead, so a sharp peak takes fewer integrand calls
+        # than bisections, but the same bisections give the same bits
+        f = peaked(0.3)
+        calls = []
+        got = integrate(lambda x, _: calls.append(x.size) or f(x), 0.0, 1.0, *TIGHT)
+        expected, _, bisections = sequential_integrate(f, 0.0, 1.0, *TIGHT)
+        assert got == expected
         assert bisections >= 10
-        assert len(sizes) == 1 + bisections
-        assert sizes[0] == 15 and set(sizes[1:]) == {30}
-        assert got == pytest.approx(expected, rel=1e-15, abs=0)
+        assert len(calls) < bisections
+        assert_bisections(monkeypatch, lambda: integrate(lambda x, _: f(x), 0.0, 1.0, *TIGHT),
+                          bisections)
 
-    def test_array_limits_run_in_lockstep(self):
-        # three integrals, the middle one empty (a == b): each result is its
-        # own scalar integral, and each round is one integrand call on the
-        # nodes of the integrals still short of their tolerance
-        a = np.array([0.0, 0.5, 2.0])
-        b = np.array([1.0, 0.5, 3.0])
-        peaks = np.array([0.3, 0.5, 2.9])
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(peak=st.floats(0.0, 1.0), width=st.floats(1e-6, 1e-1),
+           tol=st.sampled_from([TOL, TIGHT]))
+    def test_same_bisections_for_peaked_family(self, peak, width, tol):
+        f = peaked(peak, width)
+        calls = []
+        got = integrate(lambda x, _: calls.append(x.size) or f(x), 0.0, 1.0, *tol)
+        expected, _, bisections = sequential_integrate(f, 0.0, 1.0, *tol)
+        assert got == expected
+        assert len(calls) <= 1 + bisections
+        with pytest.MonkeyPatch.context() as mp:
+            assert_bisections(mp, lambda: integrate(lambda x, _: f(x), 0.0, 1.0, *tol),
+                              bisections)
 
-        def f(x, k):
-            return np.sqrt(x) + 1.0 / (1e-3 + (x - peaks[k]) ** 2)
+    def test_array_limits_run_in_lockstep(self, monkeypatch):
+        # three integrals, the middle one empty (a == b), and a first call
+        # that looks ahead
+        assert_lockstep(monkeypatch, [0.0, 0.5, 2.0], [1.0, 0.5, 3.0], [0.3, 0.5, 2.9])
 
-        sizes = []
-        got = integrate(lambda x, k: sizes.append(x.size) or f(x, k), a, b, *TIGHT)
-        assert isinstance(got, np.ndarray) and got.shape == (3,)
-        bisections = []
-        for i in range(3):
-            alone = []
-            want = integrate(lambda x, _: alone.append(x.size) or f(x, i),
-                             float(a[i]), float(b[i]), *TIGHT)
-            assert isinstance(want, float)
-            assert got[i] == pytest.approx(want, rel=1e-15, abs=0)
-            bisections.append(len(alone) - 1)
-        assert got[1] == 0.0 and bisections[1] == 0
-        assert min(bisections[0], bisections[2]) > 0
-        running = [sum(n >= r for n in bisections) for r in range(1, max(bisections) + 1)]
-        assert sizes == [15 * 3] + [30 * n for n in running]
+    def test_many_integrals_run_in_lockstep(self, monkeypatch):
+        # five integrals: the first call evaluates only their intervals
+        assert_lockstep(monkeypatch, [0.0, 0.5, 2.0, 0.0, 1.0], [1.0, 0.5, 3.0, 1.0, 1.5],
+                        [0.3, 0.5, 2.9, 0.7, 1.1])
+
+    def test_no_integrals(self):
+        got = integrate(lambda x, k: x + k, np.zeros(0), np.zeros(0), *TOL)
+        assert isinstance(got, np.ndarray) and got.shape == (0,)
 
     def test_array_limits_checked(self):
         with pytest.raises(ValueError, match="a <= b"):

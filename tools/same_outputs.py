@@ -11,8 +11,14 @@ sweeps of that config, each at --jobs 1 and 4 with 2000 iterations: eta on
 a log scale, rician_b, and radius in annulus mode.  It compares results.csv,
 optimal_radius.json, eta_report.json, eta_curve.csv and every command's exit
 code and stdout.  run.json is skipped, since it holds a timestamp and the
-host, and so are the seconds that validate prints per criterion.  Exits 0
-only if every output exists and matches, 1 otherwise.
+host, and so are the seconds that validate prints per criterion.
+
+It then evaluates every row of the analytic benchmark pools on each tree,
+read from benchmarks/refs/ through benchmarks/workloads.py: mse_analytic's
+total for each analytic-point row and optimize_eta's (eta, mse, boundary,
+extended) for each eta-opt row, and prints how many rows differ in any bit.
+Exits 0 only if every output exists and matches and no row differs, 1
+otherwise.
 """
 
 from __future__ import annotations
@@ -72,6 +78,18 @@ SECONDS = re.compile(rb"^(\[(?:PASS|FAIL)\] criterion \d+: .*) \(\d+\.\ds\)$", r
 # what the `aircomp` console script runs
 ENTRY_POINT = "import sys; from aircomp.cli import main; sys.exit(main())"
 
+# the benchmark's pools of analytic units, and the part of each unit's
+# output its gate compares
+BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
+POOLS = ("analytic-point", "eta-opt")
+POOL_SCRIPT = """
+import json, sys
+import aircomp, workloads
+json.dump({name: [repr(workloads.expected(name, workloads.make_unit(aircomp, name, row)()))
+                  for block in workloads.load_pool(name)["blocks"] for row in block]
+           for name in sys.argv[1:]}, sys.stdout)
+"""
+
 
 def outputs(src: Path) -> dict[str, bytes | None]:
     """Every compared output of the runs on the package under src; None for
@@ -94,6 +112,16 @@ def outputs(src: Path) -> dict[str, bytes | None]:
     return found
 
 
+def pool_outputs(src: Path) -> dict[str, list[str]]:
+    """The repr of every pool row's compared output on the package under
+    src; repr round-trips a float, so equal reprs mean equal bits."""
+    print(f"{src}: every row of {', '.join(POOLS)}", file=sys.stderr)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src.resolve()), str(BENCHMARKS)])}
+    proc = subprocess.run([sys.executable, "-c", POOL_SCRIPT, *POOLS],
+                          env=env, capture_output=True, check=True)
+    return json.loads(proc.stdout)
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
@@ -108,6 +136,11 @@ def main(argv: list[str]) -> int:
             verdict = "same" if before == after else "DIFFERS"
         same = same and verdict == "same"
         print(f"{verdict:8} {key}")
+    parent_rows, change_rows = (pool_outputs(Path(src)) for src in argv)
+    for name in POOLS:
+        differ = sum(a != b for a, b in zip(parent_rows[name], change_rows[name], strict=True))
+        same = same and differ == 0
+        print(f"{name}: {differ} of {len(parent_rows[name])} rows differ in any bit")
     print("every output identical" if same else "outputs differ")
     return 0 if same else 1
 
