@@ -4,15 +4,12 @@ integral, and the refinement of a minimum bracketed by a scan.
 The quadrature, `integrate(f, a, b, rel_tol, abs_tol)`, is a globally
 adaptive Gauss-Kronrod (G7, K15) scheme with the embedded 7-point Gauss rule
 providing the per-panel error estimate.  Array limits run many integrals in
-lockstep, each with its own panels and stopping rule, and an integral gives
-up after 2000 bisections.  A round is one call of the integrand: it
-evaluates, for each running integral, the subtree below its worst panel
-(halves, and quarters while one integral runs), and each integral then
-replays the one-bisection-per-step rule from those panels until it needs
-one that was not evaluated.  The first call evaluates every interval and as
-much of the subtree below it as fits in a round.  The replay makes the same
-bisections with the same float updates as one bisection per call, so only
-the number of calls changes, not a bit of the result.  The minimizer is
+lockstep, and an integral gives up after 2000 bisections.  One loop makes
+the rounds: a round is one call of the integrand on the subtrees below the
+panels the integrals wait on, and each of them then runs the
+one-bisection-per-step rule on its table of evaluated panels until it needs
+one that is not there.  So only the number of calls differs from one
+bisection per call, not a bit of the result.  The minimizer is
 `refine_bracket`: Brent's method in ln x, started at the argmin of the
 caller's grid scan and kept between its two neighbours.  The scans are the
 caller's: `analytical.log_eta_grid` for eta, `analytical.radius_grid` for
@@ -38,13 +35,13 @@ __all__ = [
 # Bisections integrate makes before it gives up on its tolerance.
 _MAX_SUBDIVISIONS = 2000
 
-# Panels one round of integrate evaluates ahead when few integrals run: the
-# lookahead goes as deep as every running integral's subtree fits in them,
-# so a lone integral looks two levels ahead and two or more look one (the
-# first call, none from four integrals on).  On the benchmark's
+# Panels one round of integrate evaluates ahead when few integrals wait on
+# it: the lookahead goes as deep as every waiting integral's subtree fits in
+# them, so a lone integral looks two levels ahead and two or more look one
+# (the first call, none from four integrals on).  On the benchmark's
 # analytic-point pool 6 took less time than 16 (three levels for one
 # integral) and than 2 (halves only): every node costs integrand time, and
-# the replay leaves more of a deeper subtree unused.
+# the rule leaves more of a deeper subtree unused.
 _ROUND_PANELS = 6
 
 
@@ -118,26 +115,26 @@ def _state(total: float, err: float) -> str:
     return f"(estimate {total!r}, error bound {err!r})"
 
 
-def _lookahead(roots, depth: int = 1):
-    """The bisections below each (i, a, b) of roots: the root, its halves,
-    their halves and so on, at least depth levels deep and as deep as every
-    subtree's halves fit in _ROUND_PANELS panels.  Returns the (i, pa, pb)
-    of each panel bisected and, two per bisection in the same order, the
-    (i, a, b) of its halves.  A panel too narrow to split in double
-    precision is not bisected."""
-    while max(len(roots), 1) * (2 ** (depth + 2) - 2) <= _ROUND_PANELS:
-        depth += 1
-    splits, halves, level = [], [], roots
-    for _ in range(depth):
+def _lookahead(roots, depth: int):
+    """The panels of the subtrees below each (i, a, b) of roots, level by
+    level: the roots themselves if depth is 0, their halves, their halves'
+    halves and so on, down to at least level depth and as deep as every
+    subtree's halves fit in _ROUND_PANELS panels.  A panel too narrow to
+    split in double precision is not bisected."""
+    bottom = depth
+    while len(roots) * (2 ** (bottom + 2) - 2) <= _ROUND_PANELS:
+        bottom += 1
+    panels = [] if depth else list(roots)
+    level = roots
+    for _ in range(bottom):
         below = []
         for i, pa, pb in level:
             pm = 0.5 * (pa + pb)
             if pa < pm < pb:
-                splits.append((i, pa, pb))
                 below += ((i, pa, pm), (i, pm, pb))
-        halves += below
+        panels += below
         level = below
-    return splits, halves
+    return panels
 
 
 def integrate(f, a, b, rel_tol: float, abs_tol: float):
@@ -149,18 +146,17 @@ def integrate(f, a, b, rel_tol: float, abs_tol: float):
     rule, so it makes exactly the bisections it would make alone.  f(x, k)
     is called on an array of nodes x, k being the integral index of each
     node, and must return an array of the same shape, once per round.  A
-    round looks ahead: for every integral still short of its tolerance it
-    evaluates the subtree below the panel with the largest error estimate,
-    its halves, their halves and so on (see _lookahead); the first round
-    evaluates every [a_i, b_i] and as much of the subtree below it as fits.
-    Each integral then replays the sequential rule from those panels:
-    bisect the worst panel, add its halves, update the totals, until it
-    converges or a half it needs was not evaluated.  So it makes the same
-    bisections, in the same order and with the same float updates, as one
-    bisection per call would.  Each integral gives up after 2000
-    bisections.  A non-finite value, the cap
-    and a panel too narrow to split raise only when the replay reaches them,
-    in the order in which one bisection per round would have met them.
+    round evaluates the subtree below the panel each waiting integral waits
+    on (see _lookahead): [a_i, b_i] and below in the first round, the halves
+    of its worst panel and below after that.  Each waiting integral then
+    runs the sequential rule on its table of evaluated panels: bisect the
+    panel with the largest error estimate, read its halves, update the
+    totals, push the halves, until it converges or a half is not in the
+    table.  So it makes the same bisections, in the same order and with the
+    same float updates, as one bisection per call would.  Each integral
+    gives up after 2000 bisections.  A non-finite value, the cap and a panel
+    too narrow to split raise only when the rule reaches them, in the order
+    in which one bisection per round would have met them.
     """
     lo = np.asarray(a, dtype=float)
     hi = np.asarray(b, dtype=float)
@@ -176,86 +172,66 @@ def integrate(f, a, b, rel_tol: float, abs_tol: float):
         raise ValueError(
             f"require a <= b, got a={ends[i, 0]!r}, b={ends[i, 1]!r}")
 
-    def evaluate(panels):
-        """The value and error estimate of each (i, a, b) of panels, from
-        one call of f."""
-        cells = np.array(panels).reshape(-1, 3)
-        return _gk15(f, cells[:, 1:], cells[:, 0].astype(int).repeat(_XK.size))
-
-    def store(splits, vals, errs):
-        """Keep, under its (pa, pb) for integral i, each bisection's (lval,
-        lerr, rval, rerr)."""
-        for (i, pa, pb), lval, lerr, rval, rerr in zip(
-                splits, vals[::2], errs[::2], vals[1::2], errs[1::2]):
-            looked[i][pa, pb] = (lval, lerr, rval, rerr)
-
-    # per integral, the looked-ahead bisections: (pa, pb) -> the values and
-    # error estimates of its halves
-    looked = [{} for _ in range(m)]
-    # the first call evaluates the roots and, ahead, as much of their
-    # subtrees as fits in a round
-    roots = [(i, pa, pb) for i, (pa, pb) in enumerate(ends.tolist())]
-    splits, halves = _lookahead(roots, 0)
-    vals, errs = evaluate(roots + halves)
-    totals, total_errs = vals[:m], errs[:m]
-    store(splits, vals[m:], errs[m:])
-    for i, pa, pb in roots:
-        if not math.isfinite(totals[i]):
-            raise QuadratureError(_non_finite(i, pa, pb))
+    # the evaluated panels, (i, a, b) -> (value, error estimate), and per
+    # integral, from its first round on, its rule's total, error bound,
+    # bisections and max-heap of panels keyed by error (heapq is a min-heap;
+    # negate; no two panels tie, so a pop does not depend on the push order)
+    table = {}
+    rules = [None] * m
     # ((bisections, kind, i), message); kind 0, 1, 2 orders the cap, an
     # unsplittable panel and a non-finite half as one round meets them
     failures = []
-
-    def bisect(i: int):
-        """Integral i's sequential rule, from its looked-ahead bisections:
-        yields (bisections made, pa, pb) whenever it needs the halves of
-        [pa, pb] evaluated, and stores its total once it converges."""
-        total, err, cache = totals[i], total_errs[i], looked[i]
-        # a max-heap of panels keyed by error (heapq is a min-heap; negate);
-        # no two panels tie, so a pop does not depend on the push order
-        heap = [(-err, *roots[i][1:], total, err)]
-        done = 0
-        while err > max(abs_tol, rel_tol * abs(total)):
-            if done == _MAX_SUBDIVISIONS:
-                failures.append(((done, 0, i), (
-                    f"quadrature of integral {i} did not converge after "
-                    f"{_MAX_SUBDIVISIONS} subdivisions {_state(total, err)}")))
-                return
-            _, pa, pb, pval, perr = heap[0]
-            pm = 0.5 * (pa + pb)
-            if not pa < pm < pb:
-                failures.append(((done, 1, i), (
-                    f"quadrature of integral {i} did not converge: panel "
-                    f"[{pa!r}, {pb!r}] cannot be split in double precision "
-                    f"{_state(total, err)}")))
-                return
-            while (halves := cache.pop((pa, pb), None)) is None:
-                yield done, pa, pb
-            lval, lerr, rval, rerr = halves
-            for qa, qb, v in ((pa, pm, lval), (pm, pb, rval)):
-                if not math.isfinite(v):
+    # the (i, pa, pb) of each waiting integral's panel, in order of i
+    waiting = [(i, pa, pb) for i, (pa, pb) in enumerate(ends.tolist())]
+    depth = 0
+    while waiting:
+        panels = _lookahead(waiting, depth)
+        cells = np.array(panels)
+        vals, errs = _gk15(f, cells[:, 1:], cells[:, 0].astype(int).repeat(_XK.size))
+        table.update(zip(panels, zip(vals, errs)))
+        round_, waiting, depth = waiting, [], 1
+        for i, pa, pb in round_:
+            if rules[i] is None:  # its first round: [pa, pb] is [a_i, b_i]
+                total, err = table.pop((i, pa, pb))
+                if not math.isfinite(total):
+                    raise QuadratureError(_non_finite(i, pa, pb))
+                done, heap = 0, [(-err, pa, pb, total, err)]
+            else:
+                total, err, done, heap = rules[i]
+            while err > max(abs_tol, rel_tol * abs(total)):
+                if done == _MAX_SUBDIVISIONS:
+                    failures.append(((done, 0, i), (
+                        f"quadrature of integral {i} did not converge after "
+                        f"{_MAX_SUBDIVISIONS} subdivisions {_state(total, err)}")))
+                    break
+                _, pa, pb, pval, perr = heap[0]
+                pm = 0.5 * (pa + pb)
+                if not pa < pm < pb:
+                    failures.append(((done, 1, i), (
+                        f"quadrature of integral {i} did not converge: panel "
+                        f"[{pa!r}, {pb!r}] cannot be split in double precision "
+                        f"{_state(total, err)}")))
+                    break
+                left = table.pop((i, pa, pm), None)
+                if left is None:
+                    waiting.append((i, pa, pb))
+                    break
+                lval, lerr = left
+                rval, rerr = table.pop((i, pm, pb))
+                if not (math.isfinite(lval) and math.isfinite(rval)):
+                    qa, qb = (pa, pm) if not math.isfinite(lval) else (pm, pb)
                     failures.append(((done, 2, i), _non_finite(i, qa, qb)))
-                    return
-            total += lval + rval - pval
-            err += lerr + rerr - perr
-            heapq.heapreplace(heap, (-lerr, pa, pm, lval, lerr))
-            heapq.heappush(heap, (-rerr, pm, pb, rval, rerr))
-            done += 1
-        totals[i] = total
-
-    rules = [bisect(i) for i in range(m)]
-    needs = {i: need for i in range(m) if (need := next(rules[i], None))}
-    while True:
+                    break
+                total += lval + rval - pval
+                err += lerr + rerr - perr
+                heapq.heapreplace(heap, (-lerr, pa, pm, lval, lerr))
+                heapq.heappush(heap, (-rerr, pm, pb, rval, rerr))
+                done += 1
+            rules[i] = total, err, done, heap
         # raise the first failure once no waiting integral can fail before it
-        if failures and all(min(failures)[0] < (n, 2, i)
-                            for i, (n, _, _) in needs.items()):
+        if failures and all(min(failures)[0] < (rules[i][2], 2, i) for i, _, _ in waiting):
             raise QuadratureError(min(failures)[1])
-        if not needs:
-            break
-        splits, halves = _lookahead([(i, pa, pb) for i, (_, pa, pb) in needs.items()])
-        store(splits, *evaluate(halves))
-        needs = {i: need for i in needs if (need := next(rules[i], None))}
-    return totals[0] if scalar else np.array(totals)
+    return rules[0][0] if scalar else np.array([rule[0] for rule in rules])
 
 
 def power_integral(lo, hi, p: float):

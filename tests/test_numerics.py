@@ -56,13 +56,15 @@ def peaked(peak, width=1e-3):
 def assert_lockstep(monkeypatch, a, b, peaks):
     """integrate over the arrays a and b, the second interval empty, gives
     each integral the sequential rule's result on its own interval, bit for
-    bit, and converges within the most bisections any of them makes."""
+    bit, and converges within the most bisections any of them makes.
+    Returns the integrand calls and panels of the array call."""
     a, b, peaks = np.array(a), np.array(b), np.array(peaks)
 
     def f(x, k):
         return np.sqrt(x) + 1.0 / (1e-3 + (x - peaks[k]) ** 2)
 
-    got = integrate(f, a, b, *TIGHT)
+    calls = []
+    got = integrate(lambda x, k: calls.append(x.size) or f(x, k), a, b, *TIGHT)
     assert isinstance(got, np.ndarray) and got.shape == a.shape
     bisections = []
     for i in range(a.size):
@@ -74,6 +76,7 @@ def assert_lockstep(monkeypatch, a, b, peaks):
     assert got[1] == 0.0 and bisections[1] == 0
     assert min(bisections[0], bisections[2]) > 0
     assert_bisections(monkeypatch, lambda: integrate(f, a, b, *TIGHT), max(bisections))
+    return len(calls), sum(calls) // numerics._XK.size
 
 
 def panel_nodes(*panels):
@@ -150,11 +153,17 @@ class TestIntegrate:
 
         assert integrate(f, 0.0, 1.0, *TOL) == pytest.approx(0.25, rel=1e-15)
 
-    def test_non_finite_half_raises_when_used(self):
-        bad = panel_nodes((0.0, 0.5))
+    # the halves of [0, 1] are checked left before right
+    @pytest.mark.parametrize("bad, named", [
+        ([(0.0, 0.5)], r"\[0\.0, 0\.5\]"),
+        ([(0.5, 1.0)], r"\[0\.5, 1\.0\]"),
+        ([(0.0, 0.5), (0.5, 1.0)], r"\[0\.0, 0\.5\]"),
+    ], ids=["left", "right", "both"])
+    def test_non_finite_half_raises_when_used(self, bad, named):
+        nodes = panel_nodes(*bad)
         with pytest.raises(QuadratureError,
-                           match=r"non-finite value on \[0\.0, 0\.5\] of integral 0$"):
-            integrate(lambda x, _: np.where(np.isin(x, bad), np.nan, np.abs(x - 0.5)),
+                           match=f"non-finite value on {named} of integral 0$"):
+            integrate(lambda x, _: np.where(np.isin(x, nodes), np.nan, np.abs(x - 0.5)),
                       0.0, 1.0, *TOL)
 
     def test_lockstep_failures_raise_in_round_order(self):
@@ -185,7 +194,9 @@ class TestIntegrate:
 
     def test_same_bisections_as_sequential_rule(self, monkeypatch):
         # each round looks ahead, so a sharp peak takes fewer integrand calls
-        # than bisections, but the same bisections give the same bits
+        # than bisections, but the same bisections give the same bits; the
+        # calls and panels are those of _lookahead's rule with 6 panels a
+        # round, and move only when that rule does
         f = peaked(0.3)
         calls = []
         got = integrate(lambda x, _: calls.append(x.size) or f(x), 0.0, 1.0, *TIGHT)
@@ -193,6 +204,7 @@ class TestIntegrate:
         assert got == expected
         assert bisections >= 10
         assert len(calls) < bisections
+        assert (len(calls), sum(calls) // numerics._XK.size) == (11, 67)
         assert_bisections(monkeypatch, lambda: integrate(lambda x, _: f(x), 0.0, 1.0, *TIGHT),
                           bisections)
 
@@ -216,9 +228,38 @@ class TestIntegrate:
         assert_lockstep(monkeypatch, [0.0, 0.5, 2.0], [1.0, 0.5, 3.0], [0.3, 0.5, 2.9])
 
     def test_many_integrals_run_in_lockstep(self, monkeypatch):
-        # five integrals: the first call evaluates only their intervals
-        assert_lockstep(monkeypatch, [0.0, 0.5, 2.0, 0.0, 1.0], [1.0, 0.5, 3.0, 1.0, 1.5],
-                        [0.3, 0.5, 2.9, 0.7, 1.1])
+        # five integrals: the first call evaluates only their intervals; the
+        # calls and panels move only when _lookahead's rule does
+        calls, panels = assert_lockstep(
+            monkeypatch, [0.0, 0.5, 2.0, 0.0, 1.0], [1.0, 0.5, 3.0, 1.0, 1.5],
+            [0.3, 0.5, 2.9, 0.7, 1.1])
+        assert (calls, panels) == (24, 133)
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(intervals=st.lists(
+        st.tuples(st.floats(0.0, 2.0), st.one_of(st.just(0.0), st.floats(0.05, 1.0)),
+                  st.floats(0.0, 1.0), st.floats(1e-6, 1e-1)),
+        min_size=2, max_size=6), tol=st.sampled_from([TOL, TIGHT]))
+    def test_lockstep_family(self, intervals, tol):
+        # (start, length, peak as a fraction of the length, width) of each
+        # interval, some of them empty; as integrals converge the others
+        # look further ahead, down to a lone one looking two levels ahead
+        start, length, frac, widths = np.array(intervals).T
+        a, b, peaks = start, start + length, start + frac * length
+        calls = []
+
+        def f(x, k):
+            calls.append(x.size)
+            return np.sqrt(x) + 1.0 / (widths[k] + (x - peaks[k]) ** 2)
+
+        got = integrate(f, a, b, *tol)
+        bisections = []
+        for i in range(a.size):
+            want, _, n = sequential_integrate(peaked(peaks[i], widths[i]),
+                                              float(a[i]), float(b[i]), *tol)
+            assert got[i] == want
+            bisections.append(n)
+        assert len(calls) <= 1 + max(bisections)
 
     def test_no_integrals(self):
         got = integrate(lambda x, k: x + k, np.zeros(0), np.zeros(0), *TOL)

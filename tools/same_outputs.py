@@ -17,8 +17,11 @@ It then evaluates every row of the analytic benchmark pools on each tree,
 read from benchmarks/refs/ through benchmarks/workloads.py: mse_analytic's
 total for each analytic-point row and optimize_eta's (eta, mse, boundary,
 extended) for each eta-opt row, and prints how many rows differ in any bit.
-Exits 0 only if every output exists and matches and no row differs, 1
-otherwise.
+Beside that count it prints, for each tree, the integrand calls and
+Gauss-Kronrod panels per unit over the pool, counted by wrapping
+aircomp.numerics._gk15, which makes one integrand call per round.  Exits 0
+only if every output exists and matches and no row differs, 1 otherwise;
+the counts do not change the exit status.
 """
 
 from __future__ import annotations
@@ -78,16 +81,28 @@ SECONDS = re.compile(rb"^(\[(?:PASS|FAIL)\] criterion \d+: .*) \(\d+\.\ds\)$", r
 # what the `aircomp` console script runs
 ENTRY_POINT = "import sys; from aircomp.cli import main; sys.exit(main())"
 
-# the benchmark's pools of analytic units, and the part of each unit's
-# output its gate compares
+# the benchmark's pools of analytic units; per pool, the part of each
+# unit's output its gate compares, and the integrand calls and panels per
+# unit
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 POOLS = ("analytic-point", "eta-opt")
 POOL_SCRIPT = """
 import json, sys
 import aircomp, workloads
-json.dump({name: [repr(workloads.expected(name, workloads.make_unit(aircomp, name, row)()))
-                  for block in workloads.load_pool(name)["blocks"] for row in block]
-           for name in sys.argv[1:]}, sys.stdout)
+from aircomp import numerics
+gk15, work = numerics._gk15, [0, 0]
+def counted(f, ends, k):
+    work[0] += 1
+    work[1] += len(ends)
+    return gk15(f, ends, k)
+numerics._gk15 = counted
+pools = {}
+for name in sys.argv[1:]:
+    work[:] = [0, 0]
+    rows = [repr(workloads.expected(name, workloads.make_unit(aircomp, name, row)()))
+            for block in workloads.load_pool(name)["blocks"] for row in block]
+    pools[name] = {"rows": rows, "calls": work[0] / len(rows), "panels": work[1] / len(rows)}
+json.dump(pools, sys.stdout)
 """
 
 
@@ -112,9 +127,11 @@ def outputs(src: Path) -> dict[str, bytes | None]:
     return found
 
 
-def pool_outputs(src: Path) -> dict[str, list[str]]:
-    """The repr of every pool row's compared output on the package under
-    src; repr round-trips a float, so equal reprs mean equal bits."""
+def pool_outputs(src: Path) -> dict[str, dict]:
+    """Per pool, on the package under src: "rows", the repr of every row's
+    compared output (repr round-trips a float, so equal reprs mean equal
+    bits), and "calls" and "panels", the integrand calls and panels per
+    unit."""
     print(f"{src}: every row of {', '.join(POOLS)}", file=sys.stderr)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src.resolve()), str(BENCHMARKS)])}
     proc = subprocess.run([sys.executable, "-c", POOL_SCRIPT, *POOLS],
@@ -136,11 +153,14 @@ def main(argv: list[str]) -> int:
             verdict = "same" if before == after else "DIFFERS"
         same = same and verdict == "same"
         print(f"{verdict:8} {key}")
-    parent_rows, change_rows = (pool_outputs(Path(src)) for src in argv)
+    parent_pools, change_pools = (pool_outputs(Path(src)) for src in argv)
     for name in POOLS:
-        differ = sum(a != b for a, b in zip(parent_rows[name], change_rows[name], strict=True))
+        before, after = parent_pools[name], change_pools[name]
+        differ = sum(a != b for a, b in zip(before["rows"], after["rows"], strict=True))
         same = same and differ == 0
-        print(f"{name}: {differ} of {len(parent_rows[name])} rows differ in any bit")
+        print(f"{name}: {differ} of {len(before['rows'])} rows differ in any bit; per unit, "
+              f"integrand calls {before['calls']:.3f} -> {after['calls']:.3f}, "
+              f"panels {before['panels']:.2f} -> {after['panels']:.2f}")
     print("every output identical" if same else "outputs differ")
     return 0 if same else 1
 
