@@ -263,6 +263,11 @@ def refine_bracket(g, xs, gs, tol: float) -> MinimizeResult:
     ends in ln x.  It only ever moves to a point no worse, so the result is
     never worse than the best grid point; edge says whether that point is
     an end of the grid.  g is called on one float at a time.
+
+    Every value of gs must be finite; beyond that, the result depends on the
+    scan only through its argmin, whether that argmin is an end of the grid,
+    and its value.  A caller may pass any value for a point it knows not to
+    be the argmin (analytical.optimize_eta passes coarse ones).
     """
     if not np.all(np.isfinite(gs)):
         raise ValueError("objective returned a non-finite value on the grid")

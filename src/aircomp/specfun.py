@@ -140,6 +140,12 @@ def marcum_q1(a: float, b):
     acc = np.empty_like(flat_y)
     for start in range(0, flat_y.size, _MARCUM_BLOCK):
         yb = flat_y[start:start + _MARCUM_BLOCK]
+        width = yb.size
+        # numpy sums a one-column table pairwise down its contiguous column
+        # but a wider one row by row; a lone point gets a twin column so it
+        # is summed like every other point, alone or in any block
+        if width == 1:
+            yb = np.repeat(yb, 2)
         gamma = np.empty((n + 1, yb.size))
         gamma[0] = np.exp(-yb)
         np.divide(yb, divisors, out=gamma[1:])
@@ -148,7 +154,7 @@ def marcum_q1(a: float, b):
         # a column sum, not weights @ gamma: BLAS may round a column
         # differently with the block's width
         gamma *= weights[:, None]
-        acc[start:start + _MARCUM_BLOCK] = gamma.sum(axis=0)
+        acc[start:start + width] = gamma.sum(axis=0)[:width]
     out = np.clip(acc.reshape(y.shape), 0.0, 1.0)
     out = np.where(y == 0.0, 1.0, out)  # Q1(a, 0) = 1 exactly
     return out if isinstance(b, np.ndarray) else float(out)

@@ -8,11 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate as sp_integrate
 
-from aircomp.analytical import (VARIANTS, eta_upper_bound, log_eta_grid,
+from aircomp import analytical
+from aircomp.analytical import (VARIANTS, EtaOptimum, eta_upper_bound, log_eta_grid,
                                 mse_analytic, optimize_eta, rician_mean)
 from aircomp.model import NetworkParams, transmit_power
 from aircomp.montecarlo import realization_mse
-from aircomp.numerics import integrate
+from aircomp.numerics import integrate, refine_bracket
 from aircomp.specfun import marcum_q1, poisson_inverse_moment, rician_pdf
 
 
@@ -273,7 +274,58 @@ class TestEtaUpperBound:
             NetworkParams().p_max
 
 
+def full_scan_optimum(params, variant):
+    """optimize_eta with every grid point of its scan evaluated by
+    mse_analytic, and the grids it scanned."""
+    hi = eta_upper_bound(params).value
+
+    def objective(eta):
+        return mse_analytic(params, eta, variant).total
+
+    grids = []
+    for extensions in range(analytical._MAX_EXTENSIONS + 1):
+        if extensions:
+            hi *= analytical._SAFETY
+        grids.append(log_eta_grid(params, hi, analytical._ETA_POINTS))
+        result = refine_bracket(objective, grids[-1], objective(grids[-1]),
+                                analytical._ETA_TOL)
+        if result.edge != "high":
+            break
+    return EtaOptimum(eta=result.x_min, mse=result.g_min, search_hi=hi,
+                      boundary=result.edge is not None, extended=extensions > 0), grids
+
+
+def random_networks(n, seed):
+    """n networks with lambda and R log-uniform, alpha, epsilon and P from
+    short lists and B uniform."""
+    rng = np.random.default_rng(seed)
+    return [NetworkParams(
+        density=float(np.exp(rng.uniform(math.log(0.005), math.log(0.5)))),
+        radius=float(np.exp(rng.uniform(math.log(2.0), math.log(50.0)))),
+        alpha=float(rng.choice([2.0, 2.1, 3.0, 4.0])),
+        epsilon=float(rng.choice([0.0, 0.5, 1.0])),
+        rician_b=float(rng.uniform(0.0, 50.0)),
+        p_max=float(rng.choice([100.0, 1000.0, 1e4]))) for _ in range(n)]
+
+
 class TestOptimizeEta:
+    def test_coarse_scan_moves_no_bit(self):
+        # the coarse scan gives the full scan's result while every coarse
+        # total is within the margin of its exact one; the reference cell at
+        # epsilon = 0 adds the printed extension
+        worst = 0.0
+        for params in random_networks(8, seed=27) + [NetworkParams(epsilon=0.0)]:
+            for variant in VARIANTS:
+                want, grids = full_scan_optimum(params, variant)
+                assert repr(optimize_eta(params, variant)) == repr(want), (params, variant)
+                for etas in grids:
+                    exact = mse_analytic(params, etas, variant).total
+                    coarse = analytical._evaluate(params, etas, variant,
+                                                  analytical._SCAN_FADING_TOL,
+                                                  analytical._SCAN_RADIAL_TOL).total
+                    worst = max(worst, float(np.max(np.abs(coarse / exact - 1.0))))
+        assert 20.0 * worst <= analytical._SCAN_MARGIN, worst
+
     def test_interior_optimum_figure_setup(self):
         params = NetworkParams(density=0.05, radius=10.0)
         opt = optimize_eta(params)

@@ -272,7 +272,24 @@ class TestIntegrate:
             integrate(lambda x, _: x, 0.0, np.array([1.0, np.inf]), *TOL)
 
 
-class TestMinimizeUnimodal:
+def assert_reads_scan_at_argmin(g, xs, tol):
+    """refine_bracket gives the same result, bit for bit, when every grid
+    value but the argmin's (the first on ties) is raised: by nothing, one
+    ulp, a random fraction of the scan's range or far above it."""
+    gs = np.array([g(x) for x in xs])
+    want = refine_bracket(g, xs, gs, tol)
+    best = int(np.argmin(gs))
+    rng = np.random.default_rng(11)
+    spread = gs.max() - gs.min()
+    for _ in range(20):
+        scale = rng.choice([0.0, 0.0, spread, 1e6 * (1.0 + abs(gs).max())], gs.size)
+        raised = gs + scale * rng.uniform(0.0, 1.0, gs.size)
+        raised = np.where(rng.uniform(size=gs.size) < 0.2, np.nextafter(gs, np.inf), raised)
+        raised[best] = gs[best]
+        assert repr(refine_bracket(g, xs, raised, tol)) == repr(want)
+
+
+class TestRefineBracketOnLogScan:
     """Minimization over a bracket as optimize_eta runs it: g on 64 points
     evenly spaced in ln x, then refine_bracket around the scan's argmin."""
 
@@ -306,6 +323,14 @@ class TestMinimizeUnimodal:
         assert res.g_min <= min(g(x) for x in xs)
         assert res.g_min == g(res.x_min)
 
+    def test_reads_the_scan_only_at_its_argmin(self):
+        xs = np.exp(np.linspace(math.log(0.01), math.log(100.0), 64))
+        assert_reads_scan_at_argmin(lambda x: 1.0 / x + x, xs, 1e-6)
+        assert_reads_scan_at_argmin(
+            lambda x: math.sin(7.0 * math.log(x)) + 0.1 * (math.log(x) - 1.0) ** 2, xs, 1e-6)
+        # ties: the first of two equal grid values is the argmin
+        assert_reads_scan_at_argmin(lambda x: max(abs(math.log(x)) - 0.5, 0.0), xs, 1e-6)
+
 
 class TestRefineBracket:
     """The refinement on a caller's grid, here linear rather than log-spaced."""
@@ -334,6 +359,12 @@ class TestRefineBracket:
         res = self.refine(g, tol=1e-6)
         assert res.g_min <= min(g(x) for x in self.XS)
         assert res.g_min == g(res.x_min)
+
+    def test_reads_the_scan_only_at_its_argmin(self):
+        assert_reads_scan_at_argmin(lambda x: (x - 6.3) ** 2, self.XS, 1e-8)
+        assert_reads_scan_at_argmin(lambda x: math.sin(9.0 * x) + 0.01 * (x - 7.0) ** 2,
+                                    self.XS, 1e-6)
+        assert_reads_scan_at_argmin(lambda x: -x, self.XS, 1e-8)
 
     def test_two_point_grid(self):
         res = self.refine(lambda x: (x - 2.4) ** 2, xs=np.array([2.0, 3.0]))

@@ -16,12 +16,18 @@ host, and so are the seconds that validate prints per criterion.
 It then evaluates every row of the analytic benchmark pools on each tree,
 read from benchmarks/refs/ through benchmarks/workloads.py: mse_analytic's
 total for each analytic-point row and optimize_eta's (eta, mse, boundary,
-extended) for each eta-opt row, and prints how many rows differ in any bit.
-Beside that count it prints, for each tree, the integrand calls and
-Gauss-Kronrod panels per unit over the pool, counted by wrapping
-aircomp.numerics._gk15, which makes one integrand call per round.  Exits 0
-only if every output exists and matches and no row differs, 1 otherwise;
-the counts do not change the exit status.
+extended) for each eta-opt row.  The eta-opt pool holds only alpha = 2.1,
+epsilon = 1, P = 1000 and B from 10 to 20 on two variants, so a third pool,
+random-eta-opt, runs optimize_eta under all three variants on 200 networks
+drawn from seed 0: lambda log-uniform on [0.005, 0.5], R log-uniform on
+[2, 50], alpha from {2, 2.1, 3, 4}, epsilon from {0, 0.5, 1}, B uniform on
+[0, 50] and P from {100, 1000, 10^4}, and compares its whole EtaOptimum
+(eta, mse, search_hi, boundary, extended), or the error it raised.  For
+each pool it prints how many rows differ in any bit and, beside that, each
+tree's integrand calls and Gauss-Kronrod panels per unit over the pool,
+counted by wrapping aircomp.numerics._gk15, which makes one integrand call
+per round.  Exits 0 only if every output exists and matches and no row
+differs, 1 otherwise; the counts do not change the exit status.
 """
 
 from __future__ import annotations
@@ -81,15 +87,46 @@ SECONDS = re.compile(rb"^(\[(?:PASS|FAIL)\] criterion \d+: .*) \(\d+\.\ds\)$", r
 # what the `aircomp` console script runs
 ENTRY_POINT = "import sys; from aircomp.cli import main; sys.exit(main())"
 
-# the benchmark's pools of analytic units; per pool, the part of each
-# unit's output its gate compares, and the integrand calls and panels per
-# unit
+# the benchmark's pools of analytic units, and a random family of networks
+# that takes optimize_eta beyond the eta-opt pool's alpha, epsilon, B and P;
+# per pool, the part of each unit's output its gate compares (for the
+# family the whole EtaOptimum, or the error it raised), and the integrand
+# calls and panels per unit
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
-POOLS = ("analytic-point", "eta-opt")
+POOLS = ("analytic-point", "eta-opt", "random-eta-opt")
 POOL_SCRIPT = """
-import json, sys
+import json, math, sys
+import numpy as np
 import aircomp, workloads
 from aircomp import numerics
+
+def optimum(params, variant):
+    try:
+        return aircomp.analytical.optimize_eta(params, variant)
+    except (ValueError, numerics.QuadratureError) as exc:
+        return exc
+
+def random_family(n=200, seed=0):
+    # lambda and R log-uniform, alpha, epsilon and P from short lists, B
+    # uniform; each network under every variant
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        params = aircomp.NetworkParams(
+            density=float(np.exp(rng.uniform(math.log(0.005), math.log(0.5)))),
+            radius=float(np.exp(rng.uniform(math.log(2.0), math.log(50.0)))),
+            alpha=float(rng.choice([2.0, 2.1, 3.0, 4.0])),
+            epsilon=float(rng.choice([0.0, 0.5, 1.0])),
+            rician_b=float(rng.uniform(0.0, 50.0)),
+            p_max=float(rng.choice([100.0, 1000.0, 1e4])))
+        for variant in aircomp.analytical.VARIANTS:
+            yield optimum(params, variant)
+
+def outputs(name):
+    if name == "random-eta-opt":
+        return random_family()
+    return (workloads.expected(name, workloads.make_unit(aircomp, name, row)())
+            for block in workloads.load_pool(name)["blocks"] for row in block)
+
 gk15, work = numerics._gk15, [0, 0]
 def counted(f, ends, k):
     work[0] += 1
@@ -99,8 +136,7 @@ numerics._gk15 = counted
 pools = {}
 for name in sys.argv[1:]:
     work[:] = [0, 0]
-    rows = [repr(workloads.expected(name, workloads.make_unit(aircomp, name, row)()))
-            for block in workloads.load_pool(name)["blocks"] for row in block]
+    rows = [repr(out) for out in outputs(name)]
     pools[name] = {"rows": rows, "calls": work[0] / len(rows), "panels": work[1] / len(rows)}
 json.dump(pools, sys.stdout)
 """
