@@ -17,6 +17,15 @@ The third is the expectation that the Monte Carlo estimator targets:
 
 The Monte Carlo estimator adjudicates between them; criterion 3 names the
 variant that matches, and `sweep`'s flag compares with "rederived" alone.
+
+mse_analytic evaluates the bracket as a capped-branch integral over the
+fading magnitude and a Marcum-Q-weighted radial integral.  optimize_eta's
+coarse scan (_scan_totals) evaluates the same bracket with no Marcum
+function: Q1(c / sigma, D(r) / sigma) = P(|h| > D(r)), so with the order of
+the Marcum term's integrals swapped the whole bracket is one fading-axis
+integral of f(v) G(v; eta), G in closed form.  The scan only has to find
+the grid's argmin, and the points that can be the argmin are evaluated by
+mse_analytic again, so the coarse form moves no output bit.
 """
 
 from __future__ import annotations
@@ -68,17 +77,20 @@ _ETA_TOL = 1e-6
 _SAFETY = 10.0
 _MAX_EXTENSIONS = 3
 
-# optimize_eta's coarse scan: the (rel_tol, abs_tol) of its fading-axis and
-# radial quadratures, and the relative margin above the coarse minimum
-# within which a grid point is evaluated again at the shipped tolerances.
-# The scan keeps the bits of a full exact scan while each coarse total is
-# within margin / (2 + margin), about half the margin, of its exact one.
-# The worst coarse error measured is 2.0e-4 relative over the 15 360 scan
-# points of the benchmark's eta-opt pool and 1.1e-4 over the 41 088 of
-# tools/same_outputs.py's random family: 25 and 44 times inside that bound.
-_SCAN_FADING_TOL = (1e-4, _FADING_TOL[1])
-_SCAN_RADIAL_TOL = (1e-4, _RADIAL_TOL[1])
-_SCAN_MARGIN = 1e-2
+# optimize_eta's coarse scan: the relative tolerance of its one fading-axis
+# integral, and the relative margin above the coarse minimum within which a
+# grid point is evaluated again by mse_analytic.  The scan keeps the bits of
+# a full exact scan while each coarse total is within margin / (2 + margin),
+# about half the margin, of its exact one.  The worst coarse error measured
+# is 2.0e-7 relative over the 15 360 scan points of the benchmark's eta-opt
+# pool and 1.8e-7 over the 115 200 of tools/same_outputs.py's random family
+# at 1, 10 and 1000 times the eta bound, in each case mse_analytic's own
+# error (on the cases of the nested scipy quadrature test the coarse totals
+# are within 5e-14 of it): about 2500 times inside the bound.  At a
+# tolerance of 1e-4 the adaptive rule took a segment much wider than a
+# narrow Rician peak for converged, 1.2e-4 off at B = 36 and epsilon = 0.
+_SCAN_REL_TOL = 1e-5
+_SCAN_MARGIN = 1e-3
 
 
 @dataclass(frozen=True)
@@ -141,15 +153,7 @@ def mse_analytic(params: NetworkParams, eta,
     mode's mean there.  The "annulus" mode, which drops those devices, is
     not this variant's target.
     """
-    return _evaluate(params, eta, variant, _FADING_TOL, _RADIAL_TOL)
-
-
-def _evaluate(params: NetworkParams, eta, variant: str, fading_tol: tuple[float, float],
-              radial_tol: tuple[float, float]) -> AnalyticBreakdown:
-    """mse_analytic with the (rel_tol, abs_tol) of its fading-axis and
-    radial quadratures as arguments."""
-    if variant not in VARIANTS:
-        raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
+    kappa = _marcum_constant(variant)
     etas = np.asarray(eta, dtype=float)
     if etas.ndim > 1:
         raise ValueError("eta must be a float or a 1-D array")
@@ -173,9 +177,8 @@ def _evaluate(params: NetworkParams, eta, variant: str, fading_tol: tuple[float,
         j2 = power_integral(r_lo, r_max, 1.0 - 0.5 * alpha)
         return rician_pdf(v, rp) * (w * w * j1 - 2.0 * w * j2)
 
-    capped_term = integrate(capped_integrand, 0.0, v_hi, *fading_tol)
+    capped_term = integrate(capped_integrand, 0.0, v_hi, *_FADING_TOL)
 
-    kappa = 2.0 if variant == "printed" else 0.0
     a_marcum = rp.c / rp.sigma
 
     ratio_sigma = ratio * rp.sigma
@@ -186,9 +189,27 @@ def _evaluate(params: NetworkParams, eta, variant: str, fading_tol: tuple[float,
                                     / ratio_sigma[k])
 
     marcumq_term = integrate(marcum_integrand, 1.0, np.full(ratio.size, r_max),
-                             *radial_tol)
+                             *_RADIAL_TOL)
 
     bracket = capped_term + 0.5 * (r_max ** 2 - 1.0) + marcumq_term
+    k_factor, noise_term, total = _totals(params, eta_1d, variant, bracket)
+    if etas.ndim == 0:
+        bracket, noise_term, total = (float(t[0]) for t in (bracket, noise_term, total))
+    return AnalyticBreakdown(k_factor=k_factor, bracket=bracket,
+                             noise_term=noise_term, total=total)
+
+
+def _marcum_constant(variant: str) -> float:
+    """The variant's constant in the Marcum-weighted radial integral."""
+    if variant not in VARIANTS:
+        raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
+    return 2.0 if variant == "printed" else 0.0
+
+
+def _totals(params: NetworkParams, eta_1d: np.ndarray, variant: str,
+            bracket: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """The inverse moment, and the noise term and the variant's total at
+    each eta of eta_1d, from its bracket (see AnalyticBreakdown)."""
     noise_term = params.noise_power / eta_1d
     mu = params.mean_count
     k_factor = poisson_inverse_moment(mu)
@@ -197,10 +218,60 @@ def _evaluate(params: NetworkParams, eta, variant: str, fading_tol: tuple[float,
         total = misalignment / mu - k_factor * noise_term / math.expm1(-mu)
     else:
         total = k_factor * (misalignment + noise_term)
-    if etas.ndim == 0:
-        bracket, noise_term, total = (float(t[0]) for t in (bracket, noise_term, total))
-    return AnalyticBreakdown(k_factor=k_factor, bracket=bracket,
-                             noise_term=noise_term, total=total)
+    return k_factor, noise_term, total
+
+
+def _scan_totals(params: NetworkParams, etas: np.ndarray, variant: str) -> np.ndarray:
+    """optimize_eta's coarse total at each eta of etas, with no Marcum function.
+
+    Q1(c / sigma, D(r) / sigma) = P(|h| > D(r)), so with the order of its
+    integrals swapped the Marcum-weighted radial term is
+    int f(v) P1(r_lo(v)) dv, and the bracket is one fading-axis integral,
+    I(eta) = int_0^{c + 20 sigma} f(v) G(v; eta) dv, with G in closed form.
+    For w = v sqrt(P_max / eta), a device at radius r and fading v is capped
+    where r >= r_lo = clip(w^(2/s), 1, R) (at s = 0, r_lo is 1 for w <= 1
+    and R above), and
+
+        G = w^2 j1 - 2 w j2 + (R^2 - 1) / 2 + P1(r_lo),
+
+    with j1, j2 the integrals of r^(1 - alpha), r^(1 - alpha/2) from r_lo to
+    R (0 where r_lo = R) and P1(x) the integral from 1 to x of
+    r^(1+s-alpha) - 2 r^(1+(s-alpha)/2) + kappa r, kappa = 2 for "printed".
+    G has kinks only where r_lo leaves 1 and where it reaches R, at
+    v = sqrt(eta / P_max) and v = R^(s/2) sqrt(eta / P_max), so the fading
+    axis is split there (clipped to its cutoff) into three segments per eta,
+    all of them one lockstep integrate at the relative tolerance
+    _SCAN_REL_TOL.
+    """
+    kappa = _marcum_constant(variant)
+    rp = params.rician()
+    alpha, r_max = params.alpha, params.radius
+    s = alpha * params.epsilon
+    n = etas.size
+    ratio = np.sqrt(params.p_max / etas)
+    cutoff = _fading_cutoff(rp)
+    kinks = np.minimum(np.array([1.0, r_max ** (0.5 * s)])[:, None] / ratio, cutoff)
+    lo = np.concatenate([np.zeros(n), kinks[0], kinks[1]])
+    hi = np.concatenate([kinks[0], kinks[1], np.full(n, cutoff)])
+    segment_ratio = np.tile(ratio, 3)
+    geometry = 0.5 * (r_max ** 2 - 1.0)
+
+    def integrand(v, k):
+        w = v * segment_ratio[k]
+        if s > 0:
+            with np.errstate(over="ignore"):
+                r_lo = np.clip(np.power(w, 2.0 / s), 1.0, r_max)
+        else:
+            r_lo = np.where(w > 1.0, r_max, 1.0)
+        capped = w * w * power_integral(r_lo, r_max, 1.0 - alpha) \
+            - 2.0 * w * power_integral(r_lo, r_max, 1.0 - 0.5 * alpha)
+        inverted = power_integral(1.0, r_lo, 1.0 + s - alpha) \
+            - 2.0 * power_integral(1.0, r_lo, 1.0 + 0.5 * (s - alpha)) \
+            + kappa * power_integral(1.0, r_lo, 1.0)
+        return rician_pdf(v, rp) * (capped + geometry + inverted)
+
+    segments = integrate(integrand, lo, hi, _SCAN_REL_TOL, _FADING_TOL[1])
+    return _totals(params, etas, variant, segments.reshape(3, n).sum(axis=0))[2]
 
 
 def rician_mean(params: NetworkParams) -> float:
@@ -282,23 +353,29 @@ def optimize_eta(params: NetworkParams, variant: str = "rederived") -> EtaOptimu
     edge the interval is inflated tenfold and scanned again (at most three
     times), and the result is flagged.
 
-    The scan is two array calls.  The first evaluates every grid point with
-    mse_analytic's formulas at a coarse relative tolerance of both
-    quadratures; the second evaluates exactly, at mse_analytic's own
-    tolerances, the points whose coarse total lies within a relative margin
-    of the coarse minimum, usually one or two.  refine_bracket reads the
-    scan only through its argmin, whether that is a grid end and its value,
-    and it gets the coarse totals with those points replaced by their exact
-    ones.  Each exact total is the one a full exact scan gives, since every
-    eta of an array call makes the same arithmetic as alone.  While every
-    coarse total is within margin / (2 + margin) of its exact value, the
-    exact argmin is among the points evaluated exactly and no coarse-only
-    point reaches its value, so the result is bit for bit the one a full
-    exact scan gives.  Were that bound broken, Brent would start from
+    The scan is two array calls.  The first, _scan_totals, evaluates every
+    grid point as one fading-axis integral of f(v) G(v; eta), with the
+    radial part of the bracket in closed form and no Marcum function, split
+    at G's two kinks into three segments per eta and taken at a relative
+    tolerance of 1e-5; the second evaluates with mse_analytic the points
+    whose coarse total lies within a relative margin of 1e-3 of the coarse
+    minimum: one or two on the eta-opt pool, and a mean of 6.2 (at most 24)
+    at epsilon = 0 on tools/same_outputs.py's random family.  refine_bracket
+    reads the scan only through its argmin, whether that is a grid end and
+    its value, and it gets the coarse totals with those points replaced by
+    their exact ones.  Each exact total is the one a full exact scan gives,
+    since every eta of an array call makes the same arithmetic as alone.
+    While every coarse total is within margin / (2 + margin) of its exact
+    value, the exact argmin is among the points evaluated exactly and no
+    coarse-only point reaches its value, so the result is bit for bit the
+    one a full exact scan gives.  Were that bound broken, Brent would start from
     another grid point and still return the optimum within its tolerance,
-    with other bits.  The coarse quadratures make the same bisections as
-    the exact ones and stop earlier, so they raise no error the exact scan
-    would not.
+    with other bits.  The worst coarse error measured is about 2500 times
+    inside that bound (see _SCAN_MARGIN).  The coarse integrand is finite
+    everywhere, so the coarse call cannot raise the non-finite error; the
+    bisection cap and an unsplittable panel, which a smooth segment at a
+    relative tolerance of 1e-5 does not come near, were met on none of the
+    840 optimize_eta rows of tools/same_outputs.py's pools.
     """
     hi = eta_upper_bound(params).value
 
@@ -306,7 +383,7 @@ def optimize_eta(params: NetworkParams, variant: str = "rederived") -> EtaOptimu
         return mse_analytic(params, eta, variant).total
 
     def scan(etas):
-        totals = _evaluate(params, etas, variant, _SCAN_FADING_TOL, _SCAN_RADIAL_TOL).total
+        totals = _scan_totals(params, etas, variant)
         low = totals.min()
         # a non-finite coarse total is evaluated exactly too, so that
         # refine_bracket checks the values a full exact scan gives

@@ -6,17 +6,20 @@ E[1/K; K >= 1], which the paper's MSE variants put on the whole bracket and
 the "conditional" variant on the noise term only.
 
 The two kernels under every analytic MSE panel cost a fixed number of numpy
-calls whatever the argument values (per block of 128 points for the Marcum
-function): I0 is Cephes' Chebyshev form, and the Marcum series is evaluated
-for all of its terms at once as array operations.
+calls whatever the argument values (per block of 4096 points for I0 and of
+128 for the Marcum function): I0 is Cephes' Chebyshev form, its two series
+run as one Clenshaw pass, and the Marcum series is evaluated for all of its
+terms at once as array operations.
 
-All functions are pure.  bessel_i0e, marcum_q1 (in b) and rician_pdf
-accept a scalar, which gives a float, or a numpy array, which gives an array
-of the same shape.
+All functions are pure; marcum_q1's Poisson weights and
+poisson_inverse_moment are cached per argument.  bessel_i0e, marcum_q1 (in
+b) and rician_pdf accept a scalar, which gives a float, or a numpy array,
+which gives an array of the same shape.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -59,13 +62,22 @@ _I0E_B = (
 )
 _I0E_SPLIT = 8.0
 
-# marcum_q1 evaluates its (terms x points) gamma table this many points of b
-# at a time, so its temporaries stay bounded whatever the array size.
+# Both series as the columns of one table, the 25-term one padded in front
+# with zeros: a leading zero keeps the Clenshaw state exactly 0, so a point
+# on that column runs its own series' steps and gets its bits.
+_I0E_TABLE = np.array([_I0E_A, (0.0,) * (len(_I0E_A) - len(_I0E_B)) + _I0E_B]).T
+
+# bessel_i0e gathers its (terms x points) coefficient table this many points
+# at a time, and marcum_q1 its (terms x points) gamma table, so their
+# temporaries stay bounded whatever the array size.
+_I0E_BLOCK = 4096
 _MARCUM_BLOCK = 128
 
 
-def _chbevl(y: np.ndarray, coeffs: tuple[float, ...]) -> np.ndarray:
-    """Cephes chbevl: sum_k' coeffs[k] T_k(y / 2) by the Clenshaw recurrence."""
+def _chbevl(y: np.ndarray, coeffs) -> np.ndarray:
+    """Cephes chbevl: sum_k' coeffs[k] T_k(y / 2) by the Clenshaw recurrence.
+
+    coeffs is a sequence of floats, or of rows with one entry per point."""
     b0 = coeffs[0]
     b1 = b2 = 0.0
     for c in coeffs[1:]:
@@ -75,45 +87,42 @@ def _chbevl(y: np.ndarray, coeffs: tuple[float, ...]) -> np.ndarray:
     return 0.5 * (b0 - b2)
 
 
+def _i0e(x: np.ndarray) -> np.ndarray:
+    """bessel_i0e on an array of x >= 0, without the check."""
+    flat = x.ravel()
+    out = np.empty_like(flat)
+    for start in range(0, flat.size, _I0E_BLOCK):
+        xb = flat[start:start + _I0E_BLOCK]
+        small = xb <= _I0E_SPLIT
+        # the large-x series runs in 32/x and divides by sqrt(x); the 8 in
+        # place of a small x only keeps the discarded branch finite
+        xm = np.maximum(xb, _I0E_SPLIT)
+        y = np.where(small, 0.5 * xb, 32.0 / xm) - 2.0
+        series = _chbevl(y, _I0E_TABLE[:, (~small).astype(np.intp)])
+        out[start:start + _I0E_BLOCK] = np.where(small, series, series / np.sqrt(xm))
+    return out.reshape(x.shape)
+
+
 def bessel_i0e(x):
     """Exponentially scaled modified Bessel function e^{-x} I0(x), x >= 0.
 
     Cephes i0e: a 30-term Chebyshev series on [0, 8] and a 25-term one in
-    1/x above, each evaluated only where it has points, so the cost is fixed
-    per call and per point.  Raises ValueError if any x is negative.
+    1/x above, run as one Clenshaw pass in which each point takes its own
+    series' coefficients, so the cost is fixed per call and per point.
+    Raises ValueError if any x is negative.
     """
     x_arr = np.asarray(x, dtype=float)
     if (x_arr < 0).any():
         raise ValueError("bessel_i0e requires x >= 0")
-    out = np.empty_like(x_arr)
-    small = x_arr <= _I0E_SPLIT
-    if small.any():
-        out[small] = _chbevl(0.5 * x_arr[small] - 2.0, _I0E_A)
-    large = ~small
-    if large.any():
-        xl = x_arr[large]
-        out[large] = _chbevl(32.0 / xl - 2.0, _I0E_B) / np.sqrt(xl)
+    out = _i0e(x_arr)
     return out if isinstance(x, np.ndarray) else float(out)
 
 
-def marcum_q1(a: float, b):
-    """First-order Marcum Q-function Q1(a, b), clamped to [0, 1].
-
-    Evaluated by the canonical mixture series
-    sum_n Poisson(n; a^2/2) Q(n+1, b^2/2), with Q the regularized upper
-    incomplete gamma function.  The Poisson weights come from a scalar upward
-    recurrence; the gamma factors for all n and all b at once from a
-    cumulative product of [e^{-y}, y/1, y/2, ...] (the terms e^{-y} y^n / n!)
-    and its cumulative sum, taken over blocks of b.  b may be an array.
-    Raises ValueError if a or any b is negative.
-    """
-    if a < 0:
-        raise ValueError("marcum_q1 requires a >= 0")
-    b_arr = np.asarray(b, dtype=float)
-    if (b_arr < 0).any():
-        raise ValueError("marcum_q1 requires b >= 0")
-
-    y = 0.5 * b_arr * b_arr
+@functools.lru_cache(maxsize=64)
+def _poisson_weights(a: float) -> tuple[np.ndarray, np.ndarray]:
+    """marcum_q1's Poisson weights at a, as a column, and the divisors 1..n
+    of its gamma table's rows, as a column; both read-only, since they are
+    cached: one network makes every Marcum call at one a."""
     x = 0.5 * a * a
     w = math.exp(-x)          # Poisson weight e^{-x} x^n / n!
     cum_w = w
@@ -133,9 +142,33 @@ def marcum_q1(a: float, b):
     # the mass is only bounded by cum_w's accumulated rounding error, about
     # (n + 1) 2^-53.  The bound is absolute: values of Q1 near or below 1e-14
     # can carry a large relative error.
-    weights = np.array(weights)
+    weights = np.array(weights)[:, None]
     divisors = np.arange(1.0, n + 1.0)[:, None]
+    weights.flags.writeable = divisors.flags.writeable = False
+    return weights, divisors
 
+
+def marcum_q1(a: float, b):
+    """First-order Marcum Q-function Q1(a, b), clamped to [0, 1].
+
+    Evaluated by the canonical mixture series
+    sum_n Poisson(n; a^2/2) Q(n+1, b^2/2), with Q the regularized upper
+    incomplete gamma function.  The Poisson weights come from a scalar upward
+    recurrence, once per a; the gamma factors for all n and all b at once
+    from a cumulative product of [e^{-y}, y/1, y/2, ...] (the terms
+    e^{-y} y^n / n!) and its cumulative sum, taken over blocks of b.  b may
+    be an array.
+    Raises ValueError if a or any b is negative.
+    """
+    if a < 0:
+        raise ValueError("marcum_q1 requires a >= 0")
+    b_arr = np.asarray(b, dtype=float)
+    if (b_arr < 0).any():
+        raise ValueError("marcum_q1 requires b >= 0")
+
+    y = 0.5 * b_arr * b_arr
+    weights, divisors = _poisson_weights(a)
+    n = divisors.size
     flat_y = y.ravel()
     acc = np.empty_like(flat_y)
     for start in range(0, flat_y.size, _MARCUM_BLOCK):
@@ -153,7 +186,7 @@ def marcum_q1(a: float, b):
         np.cumsum(gamma, axis=0, out=gamma)   # Q(n+1, y)
         # a column sum, not weights @ gamma: BLAS may round a column
         # differently with the block's width
-        gamma *= weights[:, None]
+        gamma *= weights
         acc[start:start + width] = gamma.sum(axis=0)[:width]
     out = np.clip(acc.reshape(y.shape), 0.0, 1.0)
     out = np.where(y == 0.0, 1.0, out)  # Q1(a, 0) = 1 exactly
@@ -187,7 +220,8 @@ def rician_pdf(v, rp: RicianParams):
 
     (v / sigma^2) exp(-(v^2 + c^2) / (2 sigma^2)) I0(v c / sigma^2),
     evaluated through the scaled Bessel form so large Rician factors cannot
-    overflow.  Raises ValueError if any v is negative.
+    overflow.  Raises ValueError if any v is negative; its Bessel argument
+    v c / sigma^2 is then >= 0 and is not checked again.
     """
     v_arr = np.asarray(v, dtype=float)
     if (v_arr < 0).any():
@@ -196,10 +230,12 @@ def rician_pdf(v, rp: RicianParams):
     z = v_arr * rp.c / s2
     # exp(-(v^2+c^2)/(2 s2)) I0(z) = exp(-(v-c)^2/(2 s2)) * e^{-z} I0(z)
     out = (v_arr / s2) * np.exp(-((v_arr - rp.c) ** 2) / (2.0 * s2)) \
-        * bessel_i0e(z)
+        * _i0e(z)
     return out if isinstance(v, np.ndarray) else float(out)
 
 
+# typed: a numpy float gets its own entry, and the numpy float it gives uncached
+@functools.lru_cache(maxsize=64, typed=True)
 def poisson_inverse_moment(x: float) -> float:
     """E[1/K; K >= 1] for K ~ Poisson(x): e^{-x} sum_{m>=1} x^m / (m * m!),
     which equals e^{-x} (Ei(x) - gamma - ln x).
@@ -208,6 +244,8 @@ def poisson_inverse_moment(x: float) -> float:
     part e^{-x} (gamma + ln x) is below 1e-250 and is dropped, and e^{-x}
     Ei(x) is the asymptotic series sum_k k! / x^{k+1} (DLMF 6.12.2), cut
     once a term falls below 1e-17 of the sum (at most nine terms there).
+    Cached, since every MSE evaluation of one network asks for it at the
+    same x.
     """
     if not (x > 0 and math.isfinite(x)):
         raise ValueError(f"poisson_inverse_moment requires x > 0, got {x}")

@@ -79,6 +79,18 @@ class TestMseAnalytic:
         want = brute_force_totals(params, eta)[variant]
         assert got == pytest.approx(want, rel=1e-6)
 
+    # the same cases, for the Marcum-free form of optimize_eta's coarse scan
+    @pytest.mark.parametrize("alpha, eta", [
+        (2.1, 1.0), (2.1, 25.0), (2.1, 400.0), (2.0, 25.0), (4.0, 25.0),
+    ], ids=["1.0", "25.0", "400.0", "alpha2-25.0", "alpha4-25.0"])
+    def test_scan_totals_against_nested_quadrature(self, alpha, eta):
+        params = NetworkParams(alpha=alpha)
+        want = brute_force_totals(params, eta)
+        for variant in VARIANTS:
+            got = analytical._scan_totals(params, np.array([eta]), variant)
+            assert got.shape == (1,)
+            assert got[0] == pytest.approx(want[variant], rel=1e-8), variant
+
     def test_variant_gap_identity(self):
         # printed - rederived = K * 2 pi lambda * int 2 r Q1(c/s, D(r)/s) dr
         params = NetworkParams()
@@ -320,9 +332,7 @@ class TestOptimizeEta:
                 assert repr(optimize_eta(params, variant)) == repr(want), (params, variant)
                 for etas in grids:
                     exact = mse_analytic(params, etas, variant).total
-                    coarse = analytical._evaluate(params, etas, variant,
-                                                  analytical._SCAN_FADING_TOL,
-                                                  analytical._SCAN_RADIAL_TOL).total
+                    coarse = analytical._scan_totals(params, etas, variant)
                     worst = max(worst, float(np.max(np.abs(coarse / exact - 1.0))))
         assert 20.0 * worst <= analytical._SCAN_MARGIN, worst
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
+from aircomp import specfun
 from aircomp.numerics import integrate
 from aircomp.specfun import (RicianParams, bessel_i0e, marcum_q1,
                              poisson_inverse_moment, rician_pdf)
@@ -20,6 +21,23 @@ def i0_series_oracle(x: float, terms: int = 50) -> float:
         vals.append(term)
         term *= (x / 2.0) ** 2 / ((m + 1) ** 2)
     return math.fsum(vals)
+
+
+def i0e_two_series_oracle(x: np.ndarray) -> np.ndarray:
+    """Cephes i0e with each series run on its own points (the form
+    bessel_i0e had before its one padded pass)."""
+    def chbevl(y, coeffs):
+        b0, b1, b2 = coeffs[0], 0.0, 0.0
+        for c in coeffs[1:]:
+            b2, b1 = b1, b0
+            b0 = y * b1 - b2 + c
+        return 0.5 * (b0 - b2)
+
+    out = np.empty_like(x)
+    small = x <= 8.0
+    out[small] = chbevl(0.5 * x[small] - 2.0, specfun._I0E_A)
+    out[~small] = chbevl(32.0 / x[~small] - 2.0, specfun._I0E_B) / np.sqrt(x[~small])
+    return out
 
 
 def marcum_q1_series_oracle(a: float, b: np.ndarray) -> np.ndarray:
@@ -106,6 +124,22 @@ class TestBesselI0:
         x = np.concatenate([np.linspace(0.0, 2000.0, 200_001),
                             8.0 + np.linspace(-1e-6, 1e-6, 101), split])
         np.testing.assert_allclose(bessel_i0e(x), special.i0e(x), rtol=1e-14, atol=0)
+
+    def test_bits_of_the_two_series_form(self):
+        # 4 x 10^5 points over many blocks: 8, its 50 neighbours on each
+        # side, 0 and -0, subnormals, and both series' ranges
+        rng = np.random.default_rng(4)
+        bits_of_8 = np.array(8.0).view(np.int64)
+        near_split = (bits_of_8 + np.arange(-50, 51)).view(float)
+        x = np.concatenate([rng.uniform(0.0, 16.0, 150_000),
+                            rng.exponential(50.0, 150_000),
+                            10.0 ** rng.uniform(-323.0, 4.0, 99_000), near_split,
+                            [0.0, -0.0, 5e-324, 2.2e-308, 8.0, 1e300, np.inf]])
+        rng.shuffle(x)
+        want = i0e_two_series_oracle(x)
+        assert np.array_equal(bessel_i0e(x).view(np.int64), want.view(np.int64))
+        for v in (0.0, -0.0, 5e-324, 8.0, *near_split.tolist()):
+            assert bessel_i0e(v) == i0e_two_series_oracle(np.array([v]))[0], v
 
 
 class TestMarcumQ1:

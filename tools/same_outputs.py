@@ -26,8 +26,10 @@ drawn from seed 0: lambda log-uniform on [0.005, 0.5], R log-uniform on
 each pool it prints how many rows differ in any bit and, beside that, each
 tree's integrand calls and Gauss-Kronrod panels per unit over the pool,
 counted by wrapping aircomp.numerics._gk15, which makes one integrand call
-per round.  Exits 0 only if every output exists and matches and no row
-differs, 1 otherwise; the counts do not change the exit status.
+per round, and the points at which the analytic layer evaluates the Marcum
+function, counted by wrapping aircomp.analytical.marcum_q1.  Exits 0 only
+if every output exists and matches and no row differs, 1 otherwise; the
+counts do not change the exit status.
 """
 
 from __future__ import annotations
@@ -91,7 +93,7 @@ ENTRY_POINT = "import sys; from aircomp.cli import main; sys.exit(main())"
 # that takes optimize_eta beyond the eta-opt pool's alpha, epsilon, B and P;
 # per pool, the part of each unit's output its gate compares (for the
 # family the whole EtaOptimum, or the error it raised), and the integrand
-# calls and panels per unit
+# calls, panels and marcum_q1 points per unit
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 POOLS = ("analytic-point", "eta-opt", "random-eta-opt")
 POOL_SCRIPT = """
@@ -127,17 +129,22 @@ def outputs(name):
     return (workloads.expected(name, workloads.make_unit(aircomp, name, row)())
             for block in workloads.load_pool(name)["blocks"] for row in block)
 
-gk15, work = numerics._gk15, [0, 0]
+gk15, marcum_q1, work = numerics._gk15, aircomp.analytical.marcum_q1, [0, 0, 0]
 def counted(f, ends, k):
     work[0] += 1
     work[1] += len(ends)
     return gk15(f, ends, k)
+def counted_marcum(a, b):
+    work[2] += np.size(b)
+    return marcum_q1(a, b)
 numerics._gk15 = counted
+aircomp.analytical.marcum_q1 = counted_marcum
 pools = {}
 for name in sys.argv[1:]:
-    work[:] = [0, 0]
+    work[:] = [0, 0, 0]
     rows = [repr(out) for out in outputs(name)]
-    pools[name] = {"rows": rows, "calls": work[0] / len(rows), "panels": work[1] / len(rows)}
+    pools[name] = {"rows": rows, **{key: count / len(rows) for key, count
+                                    in zip(("calls", "panels", "marcum"), work)}}
 json.dump(pools, sys.stdout)
 """
 
@@ -166,8 +173,8 @@ def outputs(src: Path) -> dict[str, bytes | None]:
 def pool_outputs(src: Path) -> dict[str, dict]:
     """Per pool, on the package under src: "rows", the repr of every row's
     compared output (repr round-trips a float, so equal reprs mean equal
-    bits), and "calls" and "panels", the integrand calls and panels per
-    unit."""
+    bits), and "calls", "panels" and "marcum", the integrand calls, panels
+    and marcum_q1 points per unit."""
     print(f"{src}: every row of {', '.join(POOLS)}", file=sys.stderr)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src.resolve()), str(BENCHMARKS)])}
     proc = subprocess.run([sys.executable, "-c", POOL_SCRIPT, *POOLS],
@@ -196,7 +203,8 @@ def main(argv: list[str]) -> int:
         same = same and differ == 0
         print(f"{name}: {differ} of {len(before['rows'])} rows differ in any bit; per unit, "
               f"integrand calls {before['calls']:.3f} -> {after['calls']:.3f}, "
-              f"panels {before['panels']:.2f} -> {after['panels']:.2f}")
+              f"panels {before['panels']:.2f} -> {after['panels']:.2f}, "
+              f"marcum_q1 points {before['marcum']:.0f} -> {after['marcum']:.0f}")
     print("every output identical" if same else "outputs differ")
     return 0 if same else 1
 
