@@ -18,13 +18,11 @@ The third is the expectation that the Monte Carlo estimator targets:
 The Monte Carlo estimator adjudicates between them; criterion 3 names the
 variant that matches, and `sweep`'s flag compares with "rederived" alone.
 
-mse_analytic evaluates the bracket as a capped-branch integral over the
-fading magnitude and a Marcum-Q-weighted radial integral.  optimize_eta's
-coarse scan (_scan_totals) evaluates the same bracket with no Marcum
-function: Q1(c / sigma, D(r) / sigma) = P(|h| > D(r)), so with the order of
-the Marcum term's integrals swapped the whole bracket is one fading-axis
-integral of f(v) G(v; eta), G in closed form.  The scan only has to find
-the grid's argmin, and the points that can be the argmin are evaluated by
+optimize_eta's coarse scan (_scan_totals) evaluates mse_analytic's bracket
+as one fading-axis integral with no Marcum function.  The two share one
+capping geometry: its kinks in v (_capping_geometry), and its capping
+radius and capped branch (_capped_branch).  The scan only has to find the
+grid's argmin, and the points that can be the argmin are evaluated by
 mse_analytic again, so the coarse form moves no output bit.
 """
 
@@ -121,6 +119,34 @@ def _fading_cutoff(rp: RicianParams) -> float:
     return rp.c + _TAIL_SIGMAS * rp.sigma
 
 
+def _capping_geometry(params: NetworkParams, eta_1d: np.ndarray):
+    """The fading law, s = alpha epsilon, sqrt(P_max / eta) at each eta, and
+    the fading axis split at the kinks where the capping radius leaves 1 and
+    reaches R: rows 0, sqrt(eta / P_max), R^(s/2) sqrt(eta / P_max) and the
+    cutoff c + 20 sigma, the kinks clipped to the cutoff."""
+    rp = params.rician()
+    s = params.alpha * params.epsilon
+    ratio = np.sqrt(params.p_max / eta_1d)
+    cutoff = np.full(ratio.size, _fading_cutoff(rp))
+    kinks = np.array([1.0, np.power(params.radius, 0.5 * s)])[:, None] / ratio
+    return rp, s, ratio, np.vstack([np.zeros_like(cutoff), np.minimum(kinks, cutoff), cutoff])
+
+
+def _capped_branch(params: NetworkParams, s: float, w: np.ndarray):
+    """The capping radius r_lo and the capped branch's radial integral
+    w^2 j1 - 2 w j2 at w = v sqrt(P_max / eta), j1 and j2 the integrals of
+    r^(1 - alpha) and r^(1 - alpha/2) from r_lo to R.  A device at radius r
+    and fading v is capped (v <= D(r)) where r >= r_lo = clip(w^(2/s), 1, R);
+    at s = 0 the exponent is inf, and w^inf (0 below w = 1, inf above)
+    makes r_lo 1 or R."""
+    alpha, r_max = params.alpha, params.radius
+    with np.errstate(over="ignore", divide="ignore"):
+        r_lo = np.clip(np.power(w, np.divide(2.0, s)), 1.0, r_max)
+    j1 = power_integral(r_lo, r_max, 1.0 - alpha)
+    j2 = power_integral(r_lo, r_max, 1.0 - 0.5 * alpha)
+    return r_lo, w * w * j1 - 2.0 * w * j2
+
+
 def mse_analytic(params: NetworkParams, eta,
                  variant: str = "rederived") -> AnalyticBreakdown:
     """Evaluate the analytical MSE at denoising factor eta.
@@ -159,28 +185,17 @@ def mse_analytic(params: NetworkParams, eta,
         raise ValueError("eta must be a float or a 1-D array")
     if not (etas > 0).all():
         raise ValueError("eta must be > 0")
-    rp = params.rician()
-    alpha, eps, r_max = params.alpha, params.epsilon, params.radius
-    s = alpha * eps
+    alpha, r_max = params.alpha, params.radius
     eta_1d = np.atleast_1d(etas)
-    ratio = np.sqrt(params.p_max / eta_1d)  # sqrt(P_max / eta)
-    v_hi = np.minimum(np.power(r_max, 0.5 * s) / ratio, _fading_cutoff(rp))
+    rp, s, ratio, edges = _capping_geometry(params, eta_1d)
 
     # Both integrands take, besides their nodes, each node's eta index k.
     def capped_integrand(v, k):
-        # v <= D(r)  <=>  r >= (v * ratio)^(2/s); at s = 0 (epsilon = 0) the
-        # capping threshold is radius-independent and every r in [1, R] counts
-        w = v * ratio[k]
-        with np.errstate(over="ignore"):
-            r_lo = np.clip(np.power(w, 2.0 / s), 1.0, r_max) if s > 0 else 1.0
-        j1 = power_integral(r_lo, r_max, 1.0 - alpha)
-        j2 = power_integral(r_lo, r_max, 1.0 - 0.5 * alpha)
-        return rician_pdf(v, rp) * (w * w * j1 - 2.0 * w * j2)
+        return rician_pdf(v, rp) * _capped_branch(params, s, v * ratio[k])[1]
 
-    capped_term = integrate(capped_integrand, 0.0, v_hi, *_FADING_TOL)
+    capped_term = integrate(capped_integrand, 0.0, edges[2], *_FADING_TOL)
 
     a_marcum = rp.c / rp.sigma
-
     ratio_sigma = ratio * rp.sigma
 
     def marcum_integrand(r, k):
@@ -227,51 +242,40 @@ def _scan_totals(params: NetworkParams, etas: np.ndarray, variant: str) -> np.nd
     Q1(c / sigma, D(r) / sigma) = P(|h| > D(r)), so with the order of its
     integrals swapped the Marcum-weighted radial term is
     int f(v) P1(r_lo(v)) dv, and the bracket is one fading-axis integral,
-    I(eta) = int_0^{c + 20 sigma} f(v) G(v; eta) dv, with G in closed form.
-    For w = v sqrt(P_max / eta), a device at radius r and fading v is capped
-    where r >= r_lo = clip(w^(2/s), 1, R) (at s = 0, r_lo is 1 for w <= 1
-    and R above), and
+    I(eta) = int_0^{c + 20 sigma} f(v) G(v; eta) dv, with G in closed form,
 
         G = w^2 j1 - 2 w j2 + (R^2 - 1) / 2 + P1(r_lo),
 
-    with j1, j2 the integrals of r^(1 - alpha), r^(1 - alpha/2) from r_lo to
-    R (0 where r_lo = R) and P1(x) the integral from 1 to x of
-    r^(1+s-alpha) - 2 r^(1+(s-alpha)/2) + kappa r, kappa = 2 for "printed".
-    G has kinks only where r_lo leaves 1 and where it reaches R, at
-    v = sqrt(eta / P_max) and v = R^(s/2) sqrt(eta / P_max), so the fading
-    axis is split there (clipped to its cutoff) into three segments per eta,
-    all of them one lockstep integrate at the relative tolerance
-    _SCAN_REL_TOL.
+    w, r_lo and the capped branch w^2 j1 - 2 w j2 as in _capped_branch, and
+    P1(x) the integral from 1 to x of r^(1+s-alpha) - 2 r^(1+(s-alpha)/2)
+    + kappa r, kappa = 2 for "printed".  G has kinks only at
+    _capping_geometry's two, so they split the fading axis into three
+    segments per eta.  A kink clipped to the cutoff, or at s = 0 the two
+    kinks together, leaves a segment empty, and it is not integrated; the
+    rest run as one lockstep integrate at the relative tolerance
+    _SCAN_REL_TOL and are summed per eta.  The segment ends are coarse like
+    the totals: an ulp in a kink moves a coarse total far less than the
+    margin, and no output bit.
     """
     kappa = _marcum_constant(variant)
-    rp = params.rician()
     alpha, r_max = params.alpha, params.radius
-    s = alpha * params.epsilon
-    n = etas.size
-    ratio = np.sqrt(params.p_max / etas)
-    cutoff = _fading_cutoff(rp)
-    kinks = np.minimum(np.array([1.0, r_max ** (0.5 * s)])[:, None] / ratio, cutoff)
-    lo = np.concatenate([np.zeros(n), kinks[0], kinks[1]])
-    hi = np.concatenate([kinks[0], kinks[1], np.full(n, cutoff)])
-    segment_ratio = np.tile(ratio, 3)
+    rp, s, ratio, edges = _capping_geometry(params, etas)
+    lo, hi = edges[:-1].ravel(), edges[1:].ravel()
+    keep = lo < hi
+    eta_index = np.tile(np.arange(etas.size), 3)[keep]
+    segment_ratio = ratio[eta_index]
     geometry = 0.5 * (r_max ** 2 - 1.0)
 
     def integrand(v, k):
-        w = v * segment_ratio[k]
-        if s > 0:
-            with np.errstate(over="ignore"):
-                r_lo = np.clip(np.power(w, 2.0 / s), 1.0, r_max)
-        else:
-            r_lo = np.where(w > 1.0, r_max, 1.0)
-        capped = w * w * power_integral(r_lo, r_max, 1.0 - alpha) \
-            - 2.0 * w * power_integral(r_lo, r_max, 1.0 - 0.5 * alpha)
+        r_lo, capped = _capped_branch(params, s, v * segment_ratio[k])
         inverted = power_integral(1.0, r_lo, 1.0 + s - alpha) \
             - 2.0 * power_integral(1.0, r_lo, 1.0 + 0.5 * (s - alpha)) \
             + kappa * power_integral(1.0, r_lo, 1.0)
         return rician_pdf(v, rp) * (capped + geometry + inverted)
 
-    segments = integrate(integrand, lo, hi, _SCAN_REL_TOL, _FADING_TOL[1])
-    return _totals(params, etas, variant, segments.reshape(3, n).sum(axis=0))[2]
+    segments = integrate(integrand, lo[keep], hi[keep], _SCAN_REL_TOL, _FADING_TOL[1])
+    bracket = np.bincount(eta_index, weights=segments, minlength=etas.size)
+    return _totals(params, etas, variant, bracket)[2]
 
 
 def rician_mean(params: NetworkParams) -> float:
@@ -354,17 +358,15 @@ def optimize_eta(params: NetworkParams, variant: str = "rederived") -> EtaOptimu
     times), and the result is flagged.
 
     The scan is two array calls.  The first, _scan_totals, evaluates every
-    grid point as one fading-axis integral of f(v) G(v; eta), with the
-    radial part of the bracket in closed form and no Marcum function, split
-    at G's two kinks into three segments per eta and taken at a relative
-    tolerance of 1e-5; the second evaluates with mse_analytic the points
-    whose coarse total lies within a relative margin of 1e-3 of the coarse
-    minimum: one or two on the eta-opt pool, and a mean of 6.2 (at most 24)
-    at epsilon = 0 on tools/same_outputs.py's random family.  refine_bracket
-    reads the scan only through its argmin, whether that is a grid end and
-    its value, and it gets the coarse totals with those points replaced by
-    their exact ones.  Each exact total is the one a full exact scan gives,
-    since every eta of an array call makes the same arithmetic as alone.
+    grid point in its Marcum-free form at a relative tolerance of 1e-5; the
+    second evaluates with mse_analytic the points whose coarse total lies
+    within a relative margin of 1e-3 of the coarse minimum: one or two on
+    the eta-opt pool, and a mean of 6.2 (at most 24) at epsilon = 0 on
+    tools/same_outputs.py's random family.  refine_bracket reads the scan
+    only through its argmin, whether that is a grid end and its value, and
+    it gets the coarse totals with those points replaced by their exact
+    ones.  Each exact total is the one a full exact scan gives, since every
+    eta of an array call makes the same arithmetic as alone.
     While every coarse total is within margin / (2 + margin) of its exact
     value, the exact argmin is among the points evaluated exactly and no
     coarse-only point reaches its value, so the result is bit for bit the

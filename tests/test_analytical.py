@@ -79,12 +79,22 @@ class TestMseAnalytic:
         want = brute_force_totals(params, eta)[variant]
         assert got == pytest.approx(want, rel=1e-6)
 
-    # the same cases, for the Marcum-free form of optimize_eta's coarse scan
-    @pytest.mark.parametrize("alpha, eta", [
-        (2.1, 1.0), (2.1, 25.0), (2.1, 400.0), (2.0, 25.0), (4.0, 25.0),
-    ], ids=["1.0", "25.0", "400.0", "alpha2-25.0", "alpha4-25.0"])
-    def test_scan_totals_against_nested_quadrature(self, alpha, eta):
-        params = NetworkParams(alpha=alpha)
+    # the same cases, for the Marcum-free form of optimize_eta's coarse scan,
+    # and two whose kinks leave a segment empty: at epsilon = 0 the two
+    # kinks coincide, and at eta = 1e6 both lie beyond the fading cutoff
+    @pytest.mark.parametrize("alpha, epsilon, eta", [
+        (2.1, 1.0, 1.0), (2.1, 1.0, 25.0), (2.1, 1.0, 400.0), (2.0, 1.0, 25.0),
+        (4.0, 1.0, 25.0), (2.1, 0.0, 25.0), (2.1, 1.0, 1e6),
+    ], ids=["1.0", "25.0", "400.0", "alpha2-25.0", "alpha4-25.0", "eps0-25.0",
+            "kinks-clipped-1e6"])
+    def test_scan_totals_against_nested_quadrature(self, alpha, epsilon, eta,
+                                                   monkeypatch):
+        def nonempty_integrate(f, a, b, rel_tol, abs_tol):
+            assert (np.asarray(a) < np.asarray(b)).all(), (a, b)
+            return integrate(f, a, b, rel_tol, abs_tol)
+
+        monkeypatch.setattr(analytical, "integrate", nonempty_integrate)
+        params = NetworkParams(alpha=alpha, epsilon=epsilon)
         want = brute_force_totals(params, eta)
         for variant in VARIANTS:
             got = analytical._scan_totals(params, np.array([eta]), variant)
@@ -116,15 +126,20 @@ class TestMseAnalytic:
         assert got == pytest.approx(want, rel=1e-6)
 
     def test_epsilon_zero_is_continuous_limit(self):
-        # the capped integrand's s = 0 case (r_lo = 1) is the s -> 0 limit
+        # the capping radius at s = 0, w^inf clipped to 1 or R, is the
+        # s -> 0 limit, in mse_analytic and in the coarse scan alike
+        etas = np.array([1e-3, 25.0, 1e4])
         for rician_b in (0.0, 15.0):
             zero = NetworkParams(epsilon=0.0, rician_b=rician_b)
             near = NetworkParams(epsilon=1e-12, rician_b=rician_b)
             for variant in VARIANTS:
-                for eta in (1e-3, 25.0, 1e4):
+                for eta in etas:
                     assert mse_analytic(near, eta, variant).total == pytest.approx(
                         mse_analytic(zero, eta, variant).total, rel=1e-10), \
                         (variant, rician_b, eta)
+                np.testing.assert_allclose(
+                    analytical._scan_totals(near, etas, variant),
+                    analytical._scan_totals(zero, etas, variant), rtol=1e-10)
 
     def test_breakdown_reassembles(self):
         params = NetworkParams()
@@ -145,6 +160,9 @@ class TestMseAnalytic:
             mse_analytic(params, 25.0, "exact")
         with pytest.raises(ValueError):
             mse_analytic(params, 0.0)
+        # past B = 450 the Marcum series fails, and says so
+        with pytest.raises(ValueError, match="450"):
+            mse_analytic(NetworkParams(rician_b=800.0), 3.0)
 
     def test_conditional_matches_fixed_count_simulation(self):
         # Given K = k the devices are iid uniform in the disc, so the mean
@@ -356,6 +374,16 @@ class TestOptimizeEta:
         assert opt.extended and not opt.boundary
         assert opt.search_hi == 10.0 * bound
         assert bound < opt.eta < opt.search_hi
+
+    def test_large_rician_factor_fails_fast(self):
+        # B = 698.82 is past the Marcum series' B <= 450, so every variant's
+        # search raises ValueError instead of returning an MSE built on a
+        # series that has lost its accuracy
+        params = NetworkParams(density=0.35925, radius=2.50884, alpha=2.0, epsilon=0.5,
+                               rician_b=698.82, p_max=100.0)
+        for variant in VARIANTS:
+            with pytest.raises(ValueError, match="450"):
+                optimize_eta(params, variant)
 
     def test_respects_variant(self):
         params = NetworkParams()

@@ -160,6 +160,13 @@ class TestSweepCommand:
         assert main(["sweep", "--config", str(cfg_path)]) == 2
         assert "numeric failure" in capsys.readouterr().err
 
+    def test_rician_factor_past_the_marcum_limit_exits_two(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, network={"snr_db": 30.0, "rician_b": 800.0},
+                                eta_policy={})
+        assert main(["sweep", "--config", str(cfg_path)]) == 2
+        assert "numeric failure" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_eta_sweep_uses_param_value(self, tmp_path):
         cfg_path = write_config(
             tmp_path,

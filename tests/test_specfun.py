@@ -212,6 +212,16 @@ class TestMarcumQ1:
         with pytest.raises(ValueError):
             marcum_q1(1.0, -1.0)
 
+    def test_accurate_up_to_a_30_and_rejected_above(self):
+        # at a = 30 (Rician factor B = 450) the series is still within
+        # 2e-14 of the exact value; past it the series loses its accuracy,
+        # and from a = 37.7 on its first Poisson weight underflows
+        b = np.linspace(0.0, 45.0, 901)
+        np.testing.assert_allclose(marcum_q1(30.0, b), stats.ncx2.sf(b * b, 2, 900.0),
+                                   rtol=0, atol=2e-14)
+        with pytest.raises(ValueError, match="B = a\\^2/2 <= 450"):
+            marcum_q1(math.sqrt(902.0), 1.0)
+
 
 class TestRician:
     def test_params_invariant(self):

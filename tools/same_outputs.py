@@ -1,6 +1,7 @@
 """Check that two source trees give the same CLI outputs, byte for byte.
 
 Usage: python tools/same_outputs.py PARENT_SRC CHANGE_SRC
+       python tools/same_outputs.py --reference REF_SRC CHANGE_SRC
 
 Each SRC is a directory that holds the `aircomp` package, such as a
 checkout's `src`.  For each tree, in a fresh temporary directory, it runs
@@ -30,16 +31,30 @@ per round, and the points at which the analytic layer evaluates the Marcum
 function, counted by wrapping aircomp.analytical.marcum_q1.  Exits 0 only
 if every output exists and matches and no row differs, 1 otherwise; the
 counts do not change the exit status.
+
+With --reference it checks accuracy instead of bits.  It evaluates every
+analytic-point and eta-opt row on REF_SRC with both of mse_analytic's
+quadratures, analytical._FADING_TOL and _RADIAL_TOL, set to a relative
+tolerance of 1e-13 and no absolute one inside its own process, and on
+CHANGE_SRC as shipped.  It prints how many CHANGE_SRC rows lie beyond the
+benchmark's gates, 1e-10 relative on the analytic-point total and 1e-9 on
+the eta-opt MSE, with the worst row of each pool and its parameters, and
+each side's run time.  It checks ten fixed analytic-point rows of the tight
+side against tests/test_analytical.py's brute_force_totals, nested scipy
+quadrature, to 1e-8 relative; scipy is imported in this mode only.  Exits 0
+only if no row lies beyond its gate and every checked row is within 1e-8.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 # README's example config
@@ -149,6 +164,43 @@ json.dump(pools, sys.stdout)
 """
 
 
+# --reference: the tight tolerance of the reference side, and the bound
+# against nested scipy quadrature of that many of its analytic-point rows
+TESTS = Path(__file__).resolve().parent.parent / "tests"
+TIGHT_TOL = (1e-13, 0.0)
+ORACLE_REL_TOL = 1e-8
+ORACLE_ROWS = 10
+REFERENCE_SCRIPT = """
+import json, sys
+import aircomp, workloads
+from aircomp import analytical, numerics
+
+setup = json.loads(sys.argv[1])
+if setup["tol"]:
+    analytical._FADING_TOL = analytical._RADIAL_TOL = tuple(setup["tol"])
+
+def value(name, row):
+    try:
+        out = workloads.make_unit(aircomp, name, row)()
+    except (ValueError, numerics.QuadratureError) as exc:
+        return repr(exc)
+    return workloads.expected(name, out)[setup["keys"][name]]
+
+result = {name: [value(name, row) for block in workloads.load_pool(name)["blocks"]
+                 for row in block] for name in setup["keys"]}
+if setup["oracle"]:
+    # scipy is a test-only dependency, imported with the tests' oracle
+    sys.path.insert(0, setup["oracle"]["tests"])
+    from test_analytical import brute_force_totals
+    rows = [row for block in workloads.load_pool("analytic-point")["blocks"] for row in block]
+    step = len(rows) // setup["oracle"]["rows"]
+    result["oracle"] = {i: brute_force_totals(workloads.network_params(aircomp, rows[i]),
+                                              rows[i]["eta"])[rows[i]["variant"]]
+                        for i in range(0, step * setup["oracle"]["rows"], step)}
+json.dump(result, sys.stdout)
+"""
+
+
 def outputs(src: Path) -> dict[str, bytes | None]:
     """Every compared output of the runs on the package under src; None for
     a file a run did not write."""
@@ -182,7 +234,65 @@ def pool_outputs(src: Path) -> dict[str, dict]:
     return json.loads(proc.stdout)
 
 
+def reference_values(src: Path, keys: dict[str, str], tight: bool) -> tuple[dict, float]:
+    """Per pool of keys, every row's output under that key on the package
+    under src, or the repr of the error it raised, with the run time in
+    seconds.  With tight, at TIGHT_TOL, and under "oracle" the nested
+    quadrature total of ORACLE_ROWS evenly spaced analytic-point rows, by
+    row index."""
+    setup = {"keys": keys, "tol": TIGHT_TOL if tight else None,
+             "oracle": {"tests": str(TESTS), "rows": ORACLE_ROWS} if tight else None}
+    print(f"{src}: every row of {', '.join(keys)}, "
+          f"{'at tolerance ' + repr(TIGHT_TOL) if tight else 'as shipped'}", file=sys.stderr)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src.resolve()), str(BENCHMARKS)])}
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-c", REFERENCE_SCRIPT, json.dumps(setup)],
+                          env=env, capture_output=True, check=True)
+    return json.loads(proc.stdout), time.perf_counter() - start
+
+
+def reference(ref_src: str, change_src: str) -> int:
+    """The --reference mode: CHANGE_SRC's rows against REF_SRC's at
+    TIGHT_TOL, and the tight side against nested quadrature."""
+    sys.path.insert(0, str(BENCHMARKS))
+    import workloads
+
+    def relative_error(got, want) -> float:
+        # the benchmark gate's relative error, or inf where either side raised
+        return math.inf if str in (type(got), type(want)) else workloads._rel(got, want)
+
+    gates = {"analytic-point": ("total", workloads.ANALYTIC_REL_TOL),
+             "eta-opt": ("mse", workloads.OPT_MSE_REL_TOL)}
+    keys = {name: key for name, (key, _) in gates.items()}
+    (ref, ref_s), (change, change_s) = (reference_values(Path(ref_src), keys, True),
+                                        reference_values(Path(change_src), keys, False))
+    good = True
+    for name, (key, gate) in gates.items():
+        rows = [row for block in workloads.load_pool(name)["blocks"] for row in block]
+        errors = [relative_error(*pair) for pair in zip(change[name], ref[name], strict=True)]
+        beyond = sum(err > gate for err in errors)
+        good = good and beyond == 0
+        worst = max(range(len(rows)), key=errors.__getitem__)
+        params = {k: v for k, v in rows[worst].items() if k != "expect"}
+        print(f"{name}: {beyond} of {len(rows)} rows beyond {gate:g} relative on the {key}; "
+              f"worst {errors[worst]:.3g}, shipped {change[name][worst]!r} against "
+              f"tight {ref[name][worst]!r}, at {params}")
+    oracle = {int(i): relative_error(ref["analytic-point"][int(i)], want)
+              for i, want in ref["oracle"].items()}
+    within = sum(err <= ORACLE_REL_TOL for err in oracle.values())
+    good = good and within == len(oracle)
+    print(f"oracle: {within} of {len(oracle)} tight analytic-point rows (index "
+          f"{', '.join(map(str, oracle))}) within {ORACLE_REL_TOL:g} relative of "
+          f"brute_force_totals; worst {max(oracle.values()):.3g}")
+    print(f"run time: {ref_s:.1f} s at tolerance {TIGHT_TOL!r} ({ref_src}), "
+          f"{change_s:.1f} s as shipped ({change_src})")
+    print("every row within its gate" if good else "rows beyond their gate")
+    return 0 if good else 1
+
+
 def main(argv: list[str]) -> int:
+    if len(argv) == 3 and argv[0] == "--reference":
+        return reference(*argv[1:])
     if len(argv) != 2:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 1
